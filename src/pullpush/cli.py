@@ -32,7 +32,7 @@ from .optimize import (
     design_guidelines,
     optimal_q,
 )
-from .simulate import SimConfig, simulate, validate_grid
+from .simulate import STREAM_VERSION, SimConfig, simulate, validate_grid
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -174,13 +174,18 @@ def _config_echo(config: FrameConfig) -> dict:
 
 
 def _manifest(argv: Sequence[str], params: dict, seed: int | None = None) -> dict:
-    return {
+    """Manifest of one document; simulation commands (those with a seed)
+    also record the RNG stream version their draws follow."""
+    manifest = {
         "tool_version": __version__,
         "command": shlex.join(["pullpush", *argv]),
         "config_echo": params,
         "seed": seed,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
     }
+    if seed is not None:
+        manifest["stream_version"] = STREAM_VERSION
+    manifest["timestamp"] = datetime.now(timezone.utc).isoformat()
+    return manifest
 
 
 def _resolve_weights(args: argparse.Namespace, load: TrafficLoad) -> Weights:

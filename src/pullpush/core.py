@@ -3,8 +3,8 @@
 All three are written for stability at the loads this package deals with
 (per-frame means up to ~100, server counts up to a few dozen): the pmf is
 evaluated in log space, Erlang-B uses the forward recursion instead of
-factorial ratios, and sampling is exact inversion with a fixed,
-documented uniform-draw budget per call.
+factorial ratios, and sampling is table inversion with one uniform per
+variate.
 """
 
 from __future__ import annotations
@@ -13,12 +13,12 @@ import math
 
 import numpy as np
 
-# Largest per-chunk mean for inversion sampling. Means above this are
-# split into ceil(mean / 10) equal sub-means and drawn as a sum of
-# independent inversions (Poisson additivity keeps this exact).
-_INVERSION_MAX_MEAN = 10.0
+# Poisson inversion window: mean -/+ (15 sqrt(mean) + 60), clipped at 0.
+# The mass outside it is far below _CDF_TAIL for every mean.
+_WINDOW_SIGMAS = 15.0
+_WINDOW_PAD = 60.0
 
-# CDF tables are extended until the remaining tail mass drops below this.
+# Tail mass that inversion tables may drop.
 _CDF_TAIL = 1e-17
 
 
@@ -43,48 +43,41 @@ def poisson_pmf(k: int, mean: float) -> float:
     return math.exp(k * math.log(mean) - mean - math.lgamma(k + 1))
 
 
-def _inversion_cdf(mean: float) -> np.ndarray:
-    """Cumulative Poisson probabilities for inversion, tail < _CDF_TAIL."""
-    term = math.exp(-mean)
-    cdf = [term]
-    # Hard cap: the tail beyond mean + 15*sqrt(mean) + 60 is far below
-    # _CDF_TAIL for any mean <= _INVERSION_MAX_MEAN.
-    k_cap = 1 + int(mean + 15.0 * math.sqrt(mean) + 60.0)
-    k = 0
-    while 1.0 - cdf[-1] > _CDF_TAIL and k < k_cap:
-        k += 1
-        term *= mean / k
-        cdf.append(cdf[-1] + term)
-    return np.asarray(cdf)
+def _inversion_table(mean: float) -> tuple[int, np.ndarray]:
+    """(first value, CDF) of Poisson(mean) over its inversion window.
+
+    The window is [mean - 15 sqrt(mean) - 60, mean + 15 sqrt(mean) + 60]
+    clipped at 0; the pmf is evaluated in log space and the CDF normalized
+    by its last entry, which is therefore exactly 1.
+    """
+    half = _WINDOW_SIGMAS * math.sqrt(mean) + _WINDOW_PAD
+    first = max(0, math.floor(mean - half))
+    ks = np.arange(first, math.ceil(mean + half) + 1)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in ks.tolist()])
+    cdf = np.cumsum(np.exp(ks * math.log(mean) - mean - log_fact))
+    return first, cdf / cdf[-1]
 
 
 def sample_poisson_array(mean: float, size: int, rng: np.random.Generator) -> np.ndarray:
     """Vectorized Poisson draws; the array analogue of :func:`sample_poisson`.
 
-    Consumes exactly ``ceil(mean / 10)`` batches of ``size`` uniforms from
-    ``rng`` (zero for ``mean == 0``), in chunk order, so a sequence of
-    calls is reproducible from the seed alone.
+    Consumes exactly ``size`` uniforms from ``rng`` (``rng.random(size)``),
+    one per variate and also when ``mean == 0``, and inverts one CDF table
+    with them, so a sequence of calls is reproducible from the seed alone.
     """
     mean = _check_mean(mean)
-    out = np.zeros(size, dtype=np.int64)
-    if mean == 0.0 or size == 0:
-        return out
-    n_chunks = max(1, math.ceil(mean / _INVERSION_MAX_MEAN))
-    cdf = _inversion_cdf(mean / n_chunks)
-    top = len(cdf) - 1
-    for _ in range(n_chunks):
-        u = rng.random(size)
-        out += np.minimum(np.searchsorted(cdf, u, side="left"), top)
-    return out
+    u = rng.random(size)
+    if mean == 0.0:
+        return np.zeros(size, dtype=np.int64)
+    first, cdf = _inversion_table(mean)
+    # The smallest k with u < CDF(k); CDF ends at exactly 1 > u.
+    return first + np.searchsorted(cdf, u, side="right")
 
 
 def sample_poisson(mean: float, rng: np.random.Generator) -> int:
     """One draw from Poisson(mean), by inversion of the CDF.
 
-    Means below 10 use a single sequential-search inversion (one uniform
-    per draw). Larger means are drawn as the sum of ceil(mean/10)
-    independent inversions with equal sub-means, which is exact and keeps
-    the uniform consumption fixed at ceil(mean/10) per call.
+    Consumes exactly one uniform per call, for any mean.
     """
     return int(sample_poisson_array(mean, 1, rng)[0])
 

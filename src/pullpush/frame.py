@@ -31,11 +31,16 @@ class FrameConfig:
     k_c: int = 1
 
     def __post_init__(self):
-        if not (isinstance(self.tau_s, (int, float)) and 0.0 < self.tau_s < float("inf")):
+        # bool is an int subclass, so True would otherwise pass as 1.
+        if not (
+            isinstance(self.tau_s, (int, float))
+            and not isinstance(self.tau_s, bool)
+            and 0.0 < self.tau_s < float("inf")
+        ):
             raise ValueError(f"tau_s must be a finite positive number, got {self.tau_s!r}")
         for name in ("frame_slots", "k_w", "k_t", "k_c"):
             v = getattr(self, name)
-            if not (isinstance(v, int) and v >= 1):
+            if not (isinstance(v, int) and not isinstance(v, bool) and v >= 1):
                 raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
         needed = self.k_c + self.k_w + self.k_t + 1
         if self.frame_slots < needed:

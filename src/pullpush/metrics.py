@@ -30,7 +30,7 @@ class TrafficLoad:
     def __post_init__(self):
         for name in ("lambda_q", "lambda_p"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and 0.0 <= v < float("inf")):
+            if not (isinstance(v, (int, float)) and not isinstance(v, bool) and 0.0 <= v < float("inf")):
                 raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
 
     def mean_queries_per_frame(self, t_frame_s: float) -> float:

@@ -5,31 +5,38 @@ first q of them (FIFO) are served in frame t+1; the rest are discarded
 (one-frame deadline). A served query never fails, because wake-up is
 ID-addressed and scheduled. Independently, each of the frame's push
 packets picks one of the k_a access slots uniformly and survives iff it
-is alone in its slot.
+is alone in its slot. The simulator draws the number of such singleton
+slots S directly from its exact law given the frame's packet count.
 
 Reproducibility: replication r draws from a PCG64 generator keyed by
 ``numpy.random.SeedSequence(entropy=seed, spawn_key=(r,))``. Within a
-replication the stream is consumed in a fixed, documented order: all
-query arrival counts first (one inversion chunk at a time, see
-:func:`pullpush.core.sample_poisson_array`), then all packet counts, then
-slot picks packet-by-packet in frame order, batched over fixed 32768-frame
-chunks. Results are therefore bitwise reproducible from (seed, r) alone
-and independent of how replications are scheduled.
+replication the stream is consumed in fixed 32768-frame chunks, in frame
+order, and each chunk of m frames takes exactly 3m uniforms in this order:
+m for the query batches its frames resolve, m for its packet counts (one
+uniform per Poisson variate, see :func:`pullpush.core.sample_poisson_array`)
+and m for its singleton counts (one per frame, see :func:`slot_successes`).
+Results are therefore bitwise reproducible from (seed, r) alone and
+independent of how replications are scheduled. ``STREAM_VERSION`` names
+this order; it changes whenever a fixed seed would give other draws.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
-from .core import sample_poisson_array
+from .core import _CDF_TAIL, sample_poisson_array
 from .frame import FrameConfig, split_for_q
 from .metrics import MetricsReport, TrafficLoad, evaluate_metrics
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 _CHUNK_FRAMES = 1 << 15  # fixed chunk so memory stays bounded and streams stay aligned
+_LAW_CACHE_SIZE = 8  # frame layouts (k_a values) whose singleton law stays built
+
+STREAM_VERSION = 2  # order of random draws documented above
 
 METRIC_KEYS = ("p_s_query", "p_s_push", "throughput_push", "n_served_mean")
 
@@ -42,13 +49,11 @@ class SimConfig:
     warmup_frames: int = 1  # populates the serve-next-frame pipeline
 
     def __post_init__(self):
-        if not (isinstance(self.frames, int) and self.frames >= 1):
-            raise ValueError(f"frames must be an integer >= 1, got {self.frames!r}")
-        if not (isinstance(self.replications, int) and self.replications >= 1):
-            raise ValueError(f"replications must be an integer >= 1, got {self.replications!r}")
-        if not (isinstance(self.warmup_frames, int) and self.warmup_frames >= 0):
-            raise ValueError(f"warmup_frames must be an integer >= 0, got {self.warmup_frames!r}")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
+        for name, low in (("frames", 1), ("replications", 1), ("warmup_frames", 0)):
+            v = getattr(self, name)
+            if not (isinstance(v, int) and not isinstance(v, bool) and v >= low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
+        if not (isinstance(self.seed, int) and not isinstance(self.seed, bool) and 0 <= self.seed < 2**64):
             raise ValueError(f"seed must fit an unsigned 64-bit integer, got {self.seed!r}")
 
 
@@ -89,23 +94,115 @@ def replication_stream(seed: int, replication: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
+def _singleton_cap(k_a: int) -> int:
+    """First n >= k_a with E[S | n] = n (1 - 1/k_a)^(n-1) below _CDF_TAIL.
+
+    E[S | n] bounds P(S >= 1 | n) and decreases in n from n = k_a on, so
+    from the cap on S = 0 to within _CDF_TAIL.
+    """
+    if k_a == 1:
+        return 2  # two or more packets in one slot always collide
+    step = math.log1p(-1.0 / k_a)
+    limit = math.log(_CDF_TAIL)
+
+    def below(n: int) -> bool:
+        return math.log(n) + (n - 1) * step < limit
+
+    if below(k_a):
+        return k_a
+    lo, hi = k_a, 2 * k_a  # below(lo) is false throughout
+    while not below(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if below(mid) else (mid, hi)
+    return hi
+
+
+class _SingletonLaw:
+    """Exact law of the singleton count S of n packets in k_a slots.
+
+    ``rows[n, s]`` is P(S <= s | n) for s = 0 .. min(n, k_a), padded with
+    ones to a common width. Rows are built by adding one packet at a time
+    to the joint law of (occupied slots o, singleton slots s): a packet
+    lands in an empty slot with probability (k_a - o)/k_a, giving
+    (o + 1, s + 1); in a singleton slot with probability s/k_a, giving
+    (o, s - 1); otherwise (o, s) stays. Only the reachable states
+    o <= min(n, k_a), s <= o are kept, and rows are built on demand up to
+    the largest n asked for, never beyond ``n_cap``.
+    """
+
+    def __init__(self, k_a: int):
+        self.k_a = k_a
+        self.n_cap = _singleton_cap(k_a)
+        self.joint = np.ones((1, 1))  # P(o, s) after len(rows) - 1 packets
+        self.rows = np.ones((1, 1))  # n = 0: S = 0
+
+    def rows_through(self, n_max: int) -> np.ndarray:
+        """The CDF table, built through row ``n_max`` (at most ``n_cap``)."""
+        built = len(self.rows) - 1
+        if n_max <= built:
+            return self.rows
+        k, joint = self.k_a, self.joint
+        top = min(n_max, k)
+        o = np.arange(top + 1)[:, None]
+        s = np.arange(top + 1)
+        stay, single, empty = (o - s) / k, s / k, (k - o) / k
+        block = np.ones((n_max - built, top + 1))
+        for row in block:
+            m = len(joint) - 1  # min(n, k_a) before this packet
+            size = min(m + 1, k) + 1
+            out = np.zeros((size, size))
+            np.multiply(joint, stay[: m + 1, : m + 1], out=out[: m + 1, : m + 1])
+            out[: m + 1, :m] += joint[:, 1:] * single[1 : m + 1]
+            out[1:, 1:] += joint[: size - 1, : size - 1] * empty[: size - 1]
+            joint = out
+            row[:size] = np.minimum(np.cumsum(joint.sum(axis=0)), 1.0)
+            row[size - 1] = 1.0  # u < 1 never inverts past the largest possible S
+        self.joint = joint
+        old = self.rows
+        if old.shape[1] <= top:
+            old = np.hstack([old, np.ones((len(old), top + 1 - old.shape[1]))])
+        self.rows = np.vstack([old, block])
+        return self.rows
+
+
+@lru_cache(maxsize=_LAW_CACHE_SIZE)
+def _singleton_law(k_a: int) -> _SingletonLaw:
+    """The shared, growing law for ``k_a`` slots; built on first use."""
+    return _SingletonLaw(k_a)
+
+
+def _invert_rows(table: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per i, the smallest s with u[i] < table[rows[i], s].
+
+    Bisection over all rows at once; every row is a CDF ending at 1 > u.
+    """
+    width = table.shape[1]
+    flat = table.ravel()
+    base = rows * width
+    lo = np.zeros(len(u), dtype=np.int64)  # the answer lies in [lo, hi]
+    hi = np.full(len(u), width - 1, dtype=np.int64)
+    for _ in range((width - 1).bit_length()):
+        mid = (lo + hi) >> 1
+        right = flat[base + mid] <= u
+        lo = np.where(right, mid + 1, lo)
+        hi = np.where(right, hi, mid)
+    return lo
+
+
 def slot_successes(packet_counts: np.ndarray, k_a: int, rng: np.random.Generator) -> np.ndarray:
     """Per-frame count of packets that landed alone in their slot.
 
-    Each packet picks one of k_a slots uniformly; draws are consumed
-    packet-by-packet in frame order.
+    Each frame's singleton count is drawn from its exact law given the
+    frame's packet count n (clamped at the law's ``n_cap``), by inversion
+    of one uniform per frame: ``rng.random(len(packet_counts))``.
     """
     counts = np.asarray(packet_counts, dtype=np.int64)
-    n_frames = len(counts)
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(n_frames)
-    slots = rng.integers(0, k_a, size=total)
-    frame_id = np.repeat(np.arange(n_frames, dtype=np.int64), counts)
-    key = frame_id * k_a + slots
-    occupancy = np.bincount(key, minlength=n_frames * k_a)
-    alone = occupancy[key] == 1
-    return np.bincount(frame_id, weights=alone, minlength=n_frames)
+    u = rng.random(len(counts))
+    law = _singleton_law(k_a)
+    n = np.minimum(counts, law.n_cap)
+    return _invert_rows(law.rows_through(int(n.max(initial=0))), n, u)
 
 
 @dataclass
@@ -114,7 +211,6 @@ class _RepStats:
     frames: int
     queries_total: int = 0
     queries_served: int = 0
-    served_sum: float = 0.0
     served_sumsq: float = 0.0
     packets_total: int = 0
     packets_success: int = 0
@@ -148,31 +244,27 @@ def _simulate_one(
     stats = _RepStats(replication=replication, frames=frames)
 
     # Query pipeline: the batch arriving in frame t is resolved in frame
-    # t+1, so the batches resolved inside the observed window are those of
-    # frames warmup-1 .. warmup+frames-2. With warmup=0 the first observed
-    # frame resolves an empty pipeline.
-    n_batches = frames + warmup - 1 if warmup >= 1 else frames - 1
-    arrivals = sample_poisson_array(mean_q, max(n_batches, 0), rng)
-    if warmup >= 1:
-        resolved = arrivals[warmup - 1 :]
-    else:
-        resolved = np.concatenate([np.zeros(1, dtype=np.int64), arrivals])
-    served = np.minimum(resolved, q)
-    stats.queries_total = int(resolved.sum())
-    stats.queries_served = int(served.sum())
-    stats.served_sum = float(served.sum())
-    stats.served_sumsq = float(np.dot(served, served))
-
-    # Push side: packet counts for the observed frames, then slot picks.
-    n_p = sample_poisson_array(mean_p, frames, rng)
-    stats.packets_total = int(n_p.sum())
+    # t+1, so observed frame j resolves the batch of the frame before it,
+    # for j = 0 the last warmup frame's. Each chunk draws the batches its
+    # frames resolve; with warmup = 0 the first observed frame resolves an
+    # empty pipeline, and its draw is discarded.
     for start in range(0, frames, _CHUNK_FRAMES):
-        chunk = n_p[start : start + _CHUNK_FRAMES]
-        succ = slot_successes(chunk, split.k_a, rng)
-        w = np.where(chunk > 0, succ / np.maximum(chunk, 1), 1.0)
+        size = min(_CHUNK_FRAMES, frames - start)
+        resolved = sample_poisson_array(mean_q, size, rng)
+        if start == 0 and warmup == 0:
+            resolved[0] = 0
+        served = np.minimum(resolved, q)
+        stats.queries_total += int(resolved.sum())
+        stats.queries_served += int(served.sum())
+        stats.served_sumsq += float(np.dot(served, served))
+
+        n_p = sample_poisson_array(mean_p, size, rng)
+        succ = slot_successes(n_p, split.k_a, rng)
+        w = np.where(n_p > 0, succ / np.maximum(n_p, 1), 1.0)
+        stats.packets_total += int(n_p.sum())
         stats.packets_success += int(succ.sum())
         stats.push_w_sum += float(w.sum())
-        stats.push_w_sumsq += float(np.dot(w, w))
+        stats.push_w_sumsq += float((w * w).sum())  # np.dot would start BLAS threads
         stats.succ_sumsq += float(np.dot(succ, succ))
     return stats
 
@@ -213,7 +305,7 @@ def _merge(stats: list[_RepStats], t_frame_s: float) -> SimResult:
                 float(s.packets_success), s.succ_sumsq, s.frames
             )
             / t_frame_s,
-            "n_served_mean": _sample_half_width(s.served_sum, s.served_sumsq, s.frames),
+            "n_served_mean": _sample_half_width(float(s.queries_served), s.served_sumsq, s.frames),
         }
     else:
         per_rep = [s.estimates(t_frame_s) for s in stats]

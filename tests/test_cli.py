@@ -365,6 +365,16 @@ class TestReproducibility:
         doc = json.loads(out)
         assert doc["manifest"]["command"].startswith("pullpush optimize")
 
+    def test_stream_version_only_in_simulation_manifests(self, capsys):
+        sim = ["--lambda-q", "1", "--lambda-p", "1", "--frames", "10", "--seed", "1"]
+        _, out, _ = run(capsys, "simulate", "--q", "1", *sim)
+        assert json.loads(out)["manifest"]["stream_version"] == 2
+        _, out, _ = run(capsys, "validate", "--q-list", "1", "--lambda-q-list", "1",
+                        "--lambda-p-list", "1", "--frames", "10", "--seed", "1")
+        assert json.loads(out)["manifest"]["stream_version"] == 2
+        _, out, _ = run(capsys, "analyze", "--lambda-q", "1", "--lambda-p", "1", "--q", "1")
+        assert "stream_version" not in json.loads(out)["manifest"]
+
     def test_csv_floats_have_nine_significant_digits(self, capsys, tmp_path):
         path = tmp_path / "rows.csv"
         run(capsys, "optimize", "--lambda-q", "250", "--lambda-p", "500", "--csv", str(path))

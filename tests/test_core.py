@@ -130,11 +130,29 @@ class TestSamplePoisson:
         assert draws.var() == pytest.approx(6.3125, rel=0.05)
 
     def test_small_mean_distribution(self):
-        # Single-chunk regime: frequency of zero should match exp(-mean).
+        # Frequency of zero should match exp(-mean).
         rng = np.random.default_rng(5)
         draws = sample_poisson_array(0.98475, 500_000, rng)
         p0 = np.mean(draws == 0)
         assert p0 == pytest.approx(math.exp(-0.98475), abs=4 * math.sqrt(0.37 * 0.63 / 500_000))
+
+    @pytest.mark.parametrize("mean", [0.0, 0.98475, 12.625, 2525.25])
+    @pytest.mark.parametrize("size", [0, 1, 1000])
+    def test_consumes_one_uniform_per_variate(self, mean, size):
+        used, twin = np.random.default_rng(31), np.random.default_rng(31)
+        sample_poisson_array(mean, size, used)
+        twin.random(size)
+        assert used.bit_generator.state == twin.bit_generator.state
+
+    def test_law_at_heavy_mean(self):
+        # 2525.25 packets per frame: lambda_p = 1e5/s in the reference frame.
+        mean, n = 2525.25, 400_000
+        draws = sample_poisson_array(mean, n, np.random.default_rng(2525))
+        assert abs(draws.mean() - mean) < 4.0 * math.sqrt(mean / n)
+        # Var of the sample variance of Poisson(m): (m + 2 m^2) / n.
+        assert abs(draws.var() - mean) < 4.0 * math.sqrt((mean + 2.0 * mean**2) / n)
+        p_low = math.fsum(poisson_pmf(k, mean) for k in range(int(mean) + 1))
+        assert abs(np.mean(draws <= int(mean)) - p_low) < 4.0 * math.sqrt(p_low * (1.0 - p_low) / n)
 
     @given(mean=st.floats(min_value=0.0, max_value=80.0), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=200)

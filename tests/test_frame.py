@@ -41,6 +41,11 @@ class TestFrameConfig:
         with pytest.raises(ValueError):
             FrameConfig(k_w=0)
 
+    @pytest.mark.parametrize("field", ["tau_s", "frame_slots", "k_w", "k_t", "k_c"])
+    def test_rejects_bool(self, field):
+        with pytest.raises(ValueError, match=field):
+            FrameConfig(**{field: True})
+
 
 class TestQMax:
     def test_reference_config(self):

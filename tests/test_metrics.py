@@ -218,6 +218,14 @@ class TestPushThroughput:
         assert value * T_FRAME <= k_a  # never above the slot budget
 
 
+class TestTrafficLoad:
+    @pytest.mark.parametrize("field", ["lambda_q", "lambda_p"])
+    def test_rejects_bool(self, field):
+        rates = {"lambda_q": 1.0, "lambda_p": 1.0} | {field: True}
+        with pytest.raises(ValueError, match=field):
+            TrafficLoad(**rates)
+
+
 class TestWeights:
     def test_traffic_fair(self):
         w = Weights.traffic_fair(TrafficLoad(250.0, 500.0))

@@ -1,17 +1,25 @@
 """Tests for the Monte Carlo simulator."""
 
+import itertools
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
-from pullpush.core import poisson_pmf
-from pullpush.frame import FrameConfig, InfeasibleSplitError
+from pullpush.core import _CDF_TAIL, poisson_pmf, sample_poisson_array
+from pullpush.frame import FrameConfig, InfeasibleSplitError, split_for_q
 from pullpush.metrics import TrafficLoad, push_success_prob, query_success_prob
 from pullpush.simulate import (
+    _CHUNK_FRAMES,
+    STREAM_VERSION,
     SimConfig,
     _merge,
     _simulate_one,
+    _singleton_cap,
+    _singleton_law,
+    _SingletonLaw,
     replication_stream,
     simulate,
     slot_successes,
@@ -71,6 +79,15 @@ class TestDeterminism:
         assert merged.packets_success == sum(s.packets_success for s in stats)
         assert merged.frames_observed == 3 * 1500
 
+    def test_stream_version_2_is_pinned(self):
+        # Counts drawn under STREAM_VERSION 2, across a chunk boundary and two
+        # replications. A change that moves them must bump the version.
+        sim = SimConfig(frames=40_000, seed=1, replications=2)
+        result = simulate(DEFAULT_CONFIG, TrafficLoad(250.0, 500.0), 10, sim)
+        counts = (result.queries_total, result.queries_served, result.packets_total, result.packets_success)
+        assert STREAM_VERSION == 2
+        assert counts == (505265, 496769, 1009602, 783782)
+
     def test_stream_construction_is_pinned(self):
         # The documented derivation: PCG64 keyed by spawn_key=(replication,).
         expected = np.random.Generator(
@@ -78,6 +95,13 @@ class TestDeterminism:
         )
         actual = replication_stream(123, 4)
         assert actual.bit_generator.state == expected.bit_generator.state
+
+
+class TestSimConfig:
+    @pytest.mark.parametrize("field", ["frames", "seed", "replications", "warmup_frames"])
+    def test_rejects_bool(self, field):
+        with pytest.raises(ValueError, match=field):
+            SimConfig(**{field: True})
 
 
 class TestTrivialCases:
@@ -101,6 +125,13 @@ class TestTrivialCases:
         assert result.frames_observed == 50
         assert 0.0 <= result.p_s_query_hat <= 1.0
 
+    def test_warmup_zero_first_frame_resolves_an_empty_pipeline(self):
+        load = TrafficLoad(1e4, 0.0)  # ~252 queries per frame
+        cold = simulate(DEFAULT_CONFIG, load, 3, SimConfig(frames=1, seed=5, warmup_frames=0))
+        warm = simulate(DEFAULT_CONFIG, load, 3, SimConfig(frames=1, seed=5, warmup_frames=1))
+        assert cold.queries_total == 0
+        assert warm.queries_total > 0 and warm.queries_served == 3
+
     def test_infeasible_q_propagates(self):
         with pytest.raises(InfeasibleSplitError):
             simulate(DEFAULT_CONFIG, TrafficLoad(1.0, 1.0), 20, SimConfig(frames=10, seed=1))
@@ -121,6 +152,14 @@ class TestConservation:
         assert np.all(successes <= np.minimum(counts, 7))
         assert np.all(successes >= 0)
 
+    def test_identities_hold_across_a_chunk_boundary(self):
+        frames = _CHUNK_FRAMES + 17
+        result = simulate(DEFAULT_CONFIG, TrafficLoad(300.0, 200.0), 4, SimConfig(frames=frames, seed=22))
+        assert result.frames_observed == frames
+        assert result.queries_served + result.queries_discarded == result.queries_total
+        assert result.queries_served <= 4 * frames
+        assert result.packets_success <= result.packets_total
+
     def test_empty_chunk(self):
         successes = slot_successes(np.zeros(10, dtype=np.int64), 5, np.random.default_rng(0))
         assert np.array_equal(successes, np.zeros(10))
@@ -135,6 +174,129 @@ class TestSmallCaseOracle:
         # Per-frame outcome is 0 or 2 packets, so the per-packet fraction has
         # std 0.5/sqrt(frames).
         assert abs(fraction - 0.5) < 4.0 * 0.5 / math.sqrt(frames)
+
+
+def enumerated_singleton_cdf(k, n):
+    """P(S <= s | n) by enumerating all k^n slot assignments of n packets."""
+    picks = np.array(list(itertools.product(range(k), repeat=n)), dtype=np.int64).reshape(k**n, n)
+    occupancy = np.stack([(picks == slot).sum(axis=1) for slot in range(k)], axis=1)
+    singles = (occupancy == 1).sum(axis=1)
+    return np.cumsum(np.bincount(singles, minlength=min(n, k) + 1)) / k**n
+
+
+def singleton_pmf(k, n):
+    row = _singleton_law(k).rows_through(n)[n][: min(n, k) + 1]
+    return np.diff(row, prepend=0.0)
+
+
+# k_a of the reference frame at q = 0, 2, 10 and 19.
+REFERENCE_K_A = [split_for_q(DEFAULT_CONFIG, q).k_a for q in (0, 2, 10, 19)]
+
+
+class TestSingletonLaw:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_rows_match_enumeration(self, k):
+        table = _SingletonLaw(k).rows_through(7)
+        for n in range(8):
+            exact = enumerated_singleton_cdf(k, n)
+            assert np.max(np.abs(table[n, : len(exact)] - exact)) <= 1e-12, (k, n)
+            assert np.all(table[n, len(exact) - 1 :] == 1.0)
+
+    @pytest.mark.parametrize("k", REFERENCE_K_A)
+    def test_row_means_match_closed_form(self, k):
+        n_top = min(_singleton_cap(k), 3000)
+        table = _singleton_law(k).rows_through(n_top)
+        for n in range(n_top + 1):
+            mean = math.fsum(1.0 - table[n])  # E[S] = sum over s of P(S > s)
+            expected = n * (1.0 - 1.0 / k) ** (n - 1) if n else 0.0
+            assert abs(mean - expected) <= 1e-11 * max(1.0, expected), (k, n)
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 50, 100, 1000])
+    def test_cap_is_first_negligible_count(self, k):
+        def expected_singletons(n):
+            return n * (1.0 - 1.0 / k) ** (n - 1)
+
+        cap = _singleton_cap(k)
+        assert cap >= k
+        assert expected_singletons(cap) < _CDF_TAIL
+        assert cap == k or expected_singletons(cap - 1) >= _CDF_TAIL
+
+    def test_extension_equals_one_build(self):
+        grown = _SingletonLaw(7)
+        grown.rows_through(3)
+        grown.rows_through(20)
+        grown.rows_through(12)
+        assert np.array_equal(grown.rows, _SingletonLaw(7).rows_through(20))
+
+    def test_counts_beyond_the_cap_never_succeed_and_stay_bounded(self):
+        k = 5
+        successes = slot_successes(np.array([0, 10**9, 2, 10**12]), k, np.random.default_rng(1))
+        assert successes[1] == successes[3] == 0
+        assert len(_singleton_law(k).rows) <= _singleton_cap(k) + 1
+
+    def test_one_uniform_per_frame(self):
+        counts = np.array([0, 1, 40, 7, 2525, 3])
+        used, twin = np.random.default_rng(12), np.random.default_rng(12)
+        slot_successes(counts, 50, used)
+        twin.random(len(counts))
+        assert used.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "n,k", [(1, 1), (2, 1), (3, 2), (7, 4), (5, 5), (20, 5), (38, 90), (50, 50), (126, 50), (300, 100)]
+    )
+    def test_samples_follow_the_table(self, n, k):
+        frames = 20_000
+        drawn = slot_successes(np.full(frames, n), k, np.random.default_rng(1000 * n + k))
+        observed = np.bincount(drawn, minlength=min(n, k) + 1)
+        expected = frames * singleton_pmf(k, n)
+        assert observed[expected == 0.0].sum() == 0
+        # Pool neighbouring values of S until each cell expects >= 5 frames.
+        cells_o, cells_e, acc_o, acc_e = [], [], 0.0, 0.0
+        for o, e in zip(observed, expected):
+            acc_o, acc_e = acc_o + o, acc_e + e
+            if acc_e >= 5.0:
+                cells_o.append(acc_o)
+                cells_e.append(acc_e)
+                acc_o = acc_e = 0.0
+        cells_o[-1] += acc_o
+        cells_e[-1] += acc_e
+        if len(cells_o) == 1:
+            return  # S is (numerically) certain: nothing left to test
+        chi2 = sum((o - e) ** 2 / e for o, e in zip(cells_o, cells_e))
+        dof = len(cells_o) - 1
+        p_value = float(mpmath.gammainc(dof / 2.0, chi2 / 2.0, mpmath.inf, regularized=True))
+        assert p_value > 1e-4, (n, k, chi2, dof)
+
+
+class TestMemory:
+    def test_heavy_chunk_peak_is_small(self):
+        # Mean 2525 packets per frame: the parent per-packet sampler peaked
+        # at ~1.68 GB here. The table build is part of the measured call.
+        k_a = split_for_q(DEFAULT_CONFIG, 0).k_a
+        counts = sample_poisson_array(2525.0, _CHUNK_FRAMES, np.random.default_rng(8))
+        _singleton_law.cache_clear()
+        tracemalloc.start()
+        try:
+            slot_successes(counts, k_a, np.random.default_rng(9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_replication_peak_does_not_grow_with_frames(self):
+        # 12 more chunks would add 3 MB per frames-long int64 array.
+        load = TrafficLoad(250.0, 10.0)
+
+        def peak(frames):
+            tracemalloc.start()
+            try:
+                _simulate_one(DEFAULT_CONFIG, load, 10, SimConfig(frames=frames, seed=4), 0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(_CHUNK_FRAMES)  # builds the singleton law outside the comparison
+        assert peak(16 * _CHUNK_FRAMES) - peak(4 * _CHUNK_FRAMES) < 2**20
 
 
 class TestEstimatorConsistency:
