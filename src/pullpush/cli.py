@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import shlex
 import sys
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .frame import FrameConfig, InfeasibleSplitError, split_for_q
-from .metrics import TrafficLoad, Weights, evaluate_metrics
+from .metrics import TrafficLoad, Weights, evaluate_metrics, weighted_success_sweep
 from .optimize import (
     InfeasibleTargetError,
     crossover_push_rate,
@@ -44,6 +45,9 @@ DEFAULT_SEED = 1
 
 _CONFIG_DEFAULTS = {"tau_s": 0.25e-3, "F": 101, "k_w": 4, "k_t": 1, "k_c": 1}
 _CONFIG_FIELD_TYPES = {"tau_s": (int, float), "F": int, "k_w": int, "k_t": int, "k_c": int}
+
+MAX_SWEEP_ROWS = 10**6
+MAX_CROSSOVER_SEARCHES = 10**4
 
 
 # ---------------------------------------------------------------- helpers
@@ -66,6 +70,13 @@ def _nonneg_float(text: str) -> float:
     value = float(text)
     if not (0.0 <= value < float("inf")):
         raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (0.0 < value < float("inf")):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text}")
     return value
 
 
@@ -318,22 +329,17 @@ _SWEEP_COLUMNS = ["q", "ratio", "lambda_p", "p_s_weighted"]
 def _cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
     config = resolve_frame_config(args)
     lo, hi, steps = args.lambda_p_range
+    qs = sorted(set(args.q_list))
+    searches = len(args.ratio_list) * len(qs) * (len(qs) - 1) // 2 if args.crossovers else 0
+    if len(args.q_list) * len(args.ratio_list) * steps > MAX_SWEEP_ROWS or searches > MAX_CROSSOVER_SEARCHES:
+        raise ValueError(f"sweep exceeds {MAX_SWEEP_ROWS} rows or {MAX_CROSSOVER_SEARCHES} crossover searches")
     grid = np.linspace(lo, hi, steps)
-    rows = []
-    for q in args.q_list:
-        split_for_q(config, q)  # fail fast on infeasible q
-        for ratio in args.ratio_list:
-            for lam_p in grid:
-                load = TrafficLoad(lambda_q=ratio * float(lam_p), lambda_p=float(lam_p))
-                report = evaluate_metrics(config, load, q)
-                rows.append(
-                    {
-                        "q": q,
-                        "ratio": ratio,
-                        "lambda_p": float(lam_p),
-                        "p_s_weighted": report.p_s_weighted,
-                    }
-                )
+    rows = [
+        {"q": q, "ratio": ratio, "lambda_p": x, "p_s_weighted": p}
+        for q in args.q_list
+        for ratio in args.ratio_list
+        for x, p in zip(grid.tolist(), weighted_success_sweep(config, q, ratio, grid).tolist())
+    ]
     params = _config_echo(config) | {
         "q_list": args.q_list,
         "ratio_list": args.ratio_list,
@@ -344,22 +350,12 @@ def _cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
     doc = {"manifest": _manifest(argv, params), "rows": rows}
     crossovers = None
     if args.crossovers:
-        qs = sorted(set(args.q_list))
-        crossovers = []
-        for ratio in args.ratio_list:
-            for i in range(len(qs)):
-                for j in range(i + 1, len(qs)):
-                    value = crossover_push_rate(
-                        config, qs[i], qs[j], ratio, lambda_p_ceiling=args.lambda_p_ceiling
-                    )
-                    crossovers.append(
-                        {
-                            "ratio": ratio,
-                            "q_low": qs[i],
-                            "q_high": qs[j],
-                            "lambda_p_cross": value,
-                        }
-                    )
+        crossovers = [
+            {"ratio": ratio, "q_low": q_low, "q_high": q_high, "lambda_p_cross": crossover_push_rate(
+                config, q_low, q_high, ratio, lambda_p_ceiling=args.lambda_p_ceiling)}
+            for ratio in args.ratio_list
+            for q_low, q_high in itertools.combinations(qs, 2)
+        ]
         doc["crossovers"] = crossovers
     _emit_rows(doc, rows, _SWEEP_COLUMNS, args)
     if crossovers is not None and getattr(args, "format", "json") == "csv":
@@ -523,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio-list", type=_float_list, required=True, help="comma-separated lambda_q/lambda_p ratios")
     p.add_argument("--lambda-p-range", type=_range_spec, required=True, metavar="MIN:MAX:STEPS")
     p.add_argument("--crossovers", action="store_true", help="report q-pair crossover rates per ratio")
-    p.add_argument("--lambda-p-ceiling", type=float, default=None,
+    p.add_argument("--lambda-p-ceiling", type=_positive_float, default=None,
                    help="sweep bound for the crossover search (default: mean packets = 3*k_a(q_low))")
     p.set_defaults(handler=_cmd_sweep)
 

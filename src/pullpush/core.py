@@ -82,17 +82,30 @@ def sample_poisson(mean: float, rng: np.random.Generator) -> int:
     return int(sample_poisson_array(mean, 1, rng)[0])
 
 
-def erlang_b(servers: int, load: float) -> float:
-    """Erlang-B blocking probability B(servers, load).
+def erlang_b_steps(q_top: int, load):
+    """Yield the Erlang-B blocking B(0, load), B(1, load), ..., B(q_top, load).
 
     Forward recursion B(0) = 1, B(m) = E*B(m-1) / (m + E*B(m-1)); exact in
     exact arithmetic and free of the factorial overflow of the ratio form.
+    ``load``, unchecked, is a float or a float64 array (bitwise elementwise).
     """
-    if servers < 0 or servers != int(servers):
-        raise ValueError(f"servers must be a nonnegative integer, got {servers!r}")
-    load = _check_mean(load)
     b = 1.0
-    for m in range(1, int(servers) + 1):
+    yield b
+    for m in range(1, q_top + 1):
         eb = load * b
         b = eb / (m + eb)
+        yield b
+
+
+def erlang_b_curve(servers: int, load):
+    """B(servers, load) for a float or float64-array load, unchecked."""
+    for b in erlang_b_steps(servers, load):
+        pass
     return b
+
+
+def erlang_b(servers: int, load: float) -> float:
+    """Erlang-B blocking probability B(servers, load), by :func:`erlang_b_steps`."""
+    if servers < 0 or servers != int(servers):
+        raise ValueError(f"servers must be a nonnegative integer, got {servers!r}")
+    return erlang_b_curve(int(servers), _check_mean(load))

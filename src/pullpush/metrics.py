@@ -14,7 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import erlang_b, _check_mean
+import numpy as np
+
+from .core import erlang_b, erlang_b_curve, _check_mean
 from .frame import FrameConfig, split_for_q
 
 _WEIGHT_SUM_TOL = 1e-12
@@ -103,6 +105,25 @@ def push_success_prob_given(k_a: int, n_packets: int) -> float:
     return (1.0 - 1.0 / k_a) ** (n_packets - 1)
 
 
+def _exp(x):
+    """math.exp of a float or per element of a 1-d array (np.exp can differ in the last bit)."""
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(math.exp, x.tolist()), np.float64, x.size)
+    return math.exp(x)
+
+
+def push_success_curve(k_a: int, m):
+    """:func:`push_success_prob`, bitwise, at a float or float64-array mean m, unchecked."""
+    if k_a == 1:
+        return (1.0 + m) * _exp(-m)
+    return (k_a * _exp(-m / k_a) - _exp(-m)) / (k_a - 1)
+
+
+def push_throughput_curve(k_a: int, m, t_frame_s: float):
+    """:func:`push_throughput`, bitwise, at a float or float64-array mean m, unchecked."""
+    return m / t_frame_s * _exp(-m / k_a)
+
+
 def push_success_prob(k_a: int, mean_packets: float) -> float:
     """Success probability averaged over a Poisson packet count.
 
@@ -113,10 +134,7 @@ def push_success_prob(k_a: int, mean_packets: float) -> float:
     """
     if not (isinstance(k_a, int) and k_a >= 1):
         raise ValueError(f"k_a must be an integer >= 1, got {k_a!r}")
-    m = _check_mean(mean_packets)
-    if k_a == 1:
-        return (1.0 + m) * math.exp(-m)
-    return (k_a * math.exp(-m / k_a) - math.exp(-m)) / (k_a - 1)
+    return push_success_curve(k_a, _check_mean(mean_packets))
 
 
 def push_throughput(k_a: int, mean_packets: float, t_frame_s: float) -> float:
@@ -125,8 +143,7 @@ def push_throughput(k_a: int, mean_packets: float, t_frame_s: float) -> float:
         raise ValueError(f"k_a must be an integer >= 1, got {k_a!r}")
     if not (0.0 < t_frame_s < float("inf")):
         raise ValueError(f"t_frame_s must be finite and > 0, got {t_frame_s!r}")
-    m = _check_mean(mean_packets)
-    return m / t_frame_s * math.exp(-m / k_a)
+    return push_throughput_curve(k_a, _check_mean(mean_packets), t_frame_s)
 
 
 def weighted_success_prob(
@@ -169,3 +186,23 @@ def evaluate_metrics(
         throughput_push=push_throughput(split.k_a, mean_p, t_frame),
         p_s_weighted=w.w_q * p_query + w.w_p * p_push,
     )
+
+
+def weighted_success_sweep(config: FrameConfig, q: int, ratio: float, lambda_p: np.ndarray) -> np.ndarray:
+    """``evaluate_metrics(config, TrafficLoad(ratio * x, x), q).p_s_weighted``,
+    bitwise, at each x of the nondecreasing float64 array ``lambda_p``.
+
+    The rates and their traffic-fair weights are monotone in x, so they are
+    valid at every x iff at the last one, the only point checked.
+    """
+    k_a = split_for_q(config, q).k_a
+    top = float(lambda_p[-1])
+    Weights.traffic_fair(TrafficLoad(ratio * top, top))
+    lambda_q = ratio * lambda_p
+    t_frame = config.t_frame_s
+    p_query = 1.0 - erlang_b_curve(q, lambda_q * t_frame)
+    p_push = push_success_curve(k_a, lambda_p * t_frame)
+    total = lambda_q + lambda_p
+    w_q = np.divide(lambda_q, total, out=np.full_like(total, 0.5), where=total > 0.0)
+    w_p = np.divide(lambda_p, total, out=np.full_like(total, 0.5), where=total > 0.0)
+    return w_q * p_query + w_p * p_push

@@ -1,8 +1,9 @@
 """Frame-design procedures: best q, rate ceilings, guideline tables, crossovers.
 
 The q search is exhaustive (the domain has at most q_max + 1 points and the
-weighted objective is not guaranteed unimodal). Rate inversions use plain
-bisection on the strictly monotone success-probability maps.
+weighted objective is not guaranteed unimodal) and takes every q's blocking
+from one Erlang-B recursion pass. Rate inversions use plain bisection on
+the strictly monotone success-probability maps.
 """
 
 from __future__ import annotations
@@ -13,15 +14,18 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .core import erlang_b_curve, erlang_b_steps
 from .frame import FrameConfig, q_max, split_for_q
-from .metrics import (
+from .metrics import (  # perfbench/tracer.py counts calls to the closed forms by these names
     TrafficLoad,
     Weights,
     evaluate_metrics,
     mean_served_queries,
+    push_success_curve,
     push_success_prob,
     push_throughput,
     query_success_prob,
+    weighted_success_sweep,
 )
 
 _BISECT_REL_TOL = 1e-12
@@ -65,16 +69,15 @@ def optimal_q(
 ) -> OptimizationResult:
     """Exhaustive scan of q in [0, q_max]; ties go to the smallest q."""
     w = Weights.traffic_fair(load) if weights is None else weights
+    mean_p = load.mean_packets_per_frame(config.t_frame_s)
     table = []
-    best_q = 0
-    best = -math.inf
-    for q in range(q_max(config) + 1):
-        rep = evaluate_metrics(config, load, q, w)
-        table.append(QTableRow(q, rep.p_s_weighted, rep.p_s_query, rep.p_s_push, rep.k_a))
-        if rep.p_s_weighted > best:
-            best = rep.p_s_weighted
-            best_q = q
-    return OptimizationResult(q_star=best_q, p_s_at_star=best, per_q_table=tuple(table))
+    for q, blocking in enumerate(erlang_b_steps(q_max(config), load.mean_queries_per_frame(config.t_frame_s))):
+        k_a = split_for_q(config, q).k_a
+        p_query = 1.0 - blocking
+        p_push = push_success_prob(k_a, mean_p)
+        table.append(QTableRow(q, w.w_q * p_query + w.w_p * p_push, p_query, p_push, k_a))
+    best = max(table, key=lambda row: row.p_s_weighted)  # the first of equal maxima
+    return OptimizationResult(q_star=best.q, p_s_at_star=best.p_s_weighted, per_q_table=tuple(table))
 
 
 def _check_p_th(p_th: float) -> float:
@@ -114,7 +117,7 @@ def max_query_rate(config: FrameConfig, q: int, p_th: float) -> float:
         raise InfeasibleTargetError("q=0 serves no queries, no arrival rate meets a target")
     t_frame = config.t_frame_s
     return _invert_decreasing(
-        lambda lam: query_success_prob(q, lam * t_frame), p_th, hi0=max(q, 1) / t_frame
+        lambda lam: 1.0 - erlang_b_curve(q, lam * t_frame), p_th, hi0=max(q, 1) / t_frame
     )
 
 
@@ -124,7 +127,7 @@ def max_push_rate(config: FrameConfig, q: int, p_th: float) -> float:
     k_a = split_for_q(config, q).k_a
     t_frame = config.t_frame_s
     return _invert_decreasing(
-        lambda lam: push_success_prob(k_a, lam * t_frame), p_th, hi0=k_a / t_frame
+        lambda lam: push_success_curve(k_a, lam * t_frame), p_th, hi0=k_a / t_frame
     )
 
 
@@ -175,8 +178,8 @@ def crossover_push_rate(
     split_for_q(config, q_high)  # feasibility check
     t_frame = config.t_frame_s
     ceiling = 3.0 * k_a_low / t_frame if lambda_p_ceiling is None else float(lambda_p_ceiling)
-    if not (ceiling > 0.0):
-        raise ValueError(f"lambda_p_ceiling must be > 0, got {ceiling!r}")
+    if not (0.0 < ceiling < math.inf):
+        raise ValueError(f"lambda_p_ceiling must be finite and > 0, got {ceiling!r}")
 
     def gap(lam_p: float) -> float:
         load = TrafficLoad(lambda_q=load_ratio * lam_p, lambda_p=lam_p)
@@ -186,7 +189,8 @@ def crossover_push_rate(
         return low - high
 
     grid = np.linspace(ceiling / grid_points, ceiling, grid_points)
-    values = [gap(x) for x in grid]
+    values = (weighted_success_sweep(config, q_low, load_ratio, grid)
+              - weighted_success_sweep(config, q_high, load_ratio, grid)).tolist()
     bracket = None
     for i in range(len(grid) - 1):
         if values[i] == 0.0:

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -224,6 +225,37 @@ class TestSweep:
         with pytest.raises(SystemExit) as excinfo:
             main(["sweep", "--q-list", "1", "--ratio-list", "1", "--lambda-p-range", "10:5:3"])
         assert excinfo.value.code == 2
+
+    def test_too_many_rows_exits_2_before_allocating(self, capsys):
+        argv = ["sweep", "--q-list", "1,3", "--ratio-list", "1", "--lambda-p-range", "1:10:100000000"]
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(cli.MAX_SWEEP_ROWS) in err
+        assert peak < 5 * 2**20
+
+    def test_too_many_crossover_searches_exits_2(self, capsys):
+        # 20 distinct q give 190 pairs; 53 ratios make 10070 searches.
+        ratios = ",".join(str(0.1 * i) for i in range(1, 54))
+        argv = ["sweep", "--q-list", ",".join(map(str, range(20))), "--ratio-list", ratios,
+                "--lambda-p-range", "1:10:1"]
+        assert run(capsys, *argv)[0] == 0
+        code, _, err = run(capsys, *argv, "--crossovers")
+        assert code == 2
+        assert str(cli.MAX_CROSSOVER_SEARCHES) in err
+
+    @pytest.mark.parametrize("ceiling", ["inf", "nan", "0", "-5"])
+    @pytest.mark.parametrize("crossovers", [[], ["--crossovers"]])
+    def test_ceiling_must_be_finite_and_positive(self, capsys, ceiling, crossovers):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--q-list", "1,10", "--ratio-list", "1", "--lambda-p-range", "1:10:3",
+                  *crossovers, "--lambda-p-ceiling", ceiling])
+        assert excinfo.value.code == 2
+        assert "--lambda-p-ceiling" in capsys.readouterr().err
 
 
 class TestSimulate:

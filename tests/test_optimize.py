@@ -1,6 +1,7 @@
 """Tests for the frame-design procedures."""
 
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -62,6 +63,22 @@ class TestOptimalQ:
         best = max(result.per_q_table, key=lambda row: (row.p_s_weighted, -row.q))
         assert result.q_star == best.q
         assert result.p_s_at_star == best.p_s_weighted
+
+    def test_large_frame_is_one_recursion_pass(self):
+        # q_max = 19999: a scan that restarts the recursion per q takes
+        # q_max^2 / 2 = 2e8 steps here.
+        config = FrameConfig(frame_slots=100_001)
+        load = TrafficLoad(5000.0, 5000.0)
+        start = time.perf_counter()
+        result = optimal_q(config, load)
+        assert time.perf_counter() - start < 2.0
+        weights = Weights.traffic_fair(load)
+        for q in (0, 1, 19, q_max(config)):
+            row = result.per_q_table[q]
+            report = evaluate_metrics(config, load, q, weights)
+            assert (row.q, row.p_s_weighted, row.p_s_query, row.p_s_push, row.k_a) == (
+                report.q, report.p_s_weighted, report.p_s_query, report.p_s_push, report.k_a
+            )
 
     def test_table_matches_point_evaluations_bitwise(self):
         load = TrafficLoad(250.0, 500.0)
@@ -194,6 +211,11 @@ class TestCrossover:
     def test_invalid_pair_rejected(self):
         with pytest.raises(ValueError):
             crossover_push_rate(DEFAULT_CONFIG, 10, 1, 0.5)
+
+    @pytest.mark.parametrize("ceiling", [math.inf, math.nan, 0.0, -1.0])
+    def test_ceiling_must_be_finite_and_positive(self, ceiling):
+        with pytest.raises(ValueError, match="lambda_p_ceiling"):
+            crossover_push_rate(DEFAULT_CONFIG, 1, 10, 0.5, lambda_p_ceiling=ceiling)
 
     def test_crossover_is_a_root_of_the_gap(self):
         value = crossover_push_rate(DEFAULT_CONFIG, 1, 10, 0.5)
