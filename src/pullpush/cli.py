@@ -1,12 +1,19 @@
 """Command-line interface: point analysis, q optimization, design guidelines,
 load sweeps, and Monte Carlo simulation/validation.
 
+:func:`build_parser` is the command table: each subcommand names its flags
+and a ``_cmd_*`` handler, which takes the parsed arguments and the resolved
+:class:`FrameConfig` and only computes. :func:`main` runs every command the
+same way: it resolves the frame config (flag > ``--config`` file >
+``FrameConfig`` defaults), calls the handler, builds the manifest and
+writes the handler's ``_Output``.
+
 Outputs are machine-readable: a JSON document on stdout by default, CSV to
 ``--csv PATH`` (with a ``PATH.manifest.json`` sidecar) or to stdout with
 ``--format csv`` (manifest then goes to stderr). Every document carries a
 manifest sufficient to reproduce it. Exit codes: 0 success, 2 usage or
-config error, 3 infeasible design point, 4 validation flags under
-``--strict``.
+config error or an unwritable output path, 3 infeasible design point,
+4 validation flags under ``--strict``.
 """
 
 from __future__ import annotations
@@ -15,24 +22,20 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import shlex
 import sys
 import os
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import __version__
-from .frame import FrameConfig, InfeasibleSplitError, split_for_q
+from .frame import FrameConfig, InfeasibleSplitError, q_max, split_for_q
 from .metrics import TrafficLoad, Weights, evaluate_metrics, weighted_success_sweep
-from .optimize import (
-    InfeasibleTargetError,
-    crossover_push_rate,
-    design_guidelines,
-    optimal_q,
-)
+from .optimize import InfeasibleTargetError, crossover_push_rate, design_guidelines, optimal_q
 from .simulate import STREAM_VERSION, SimConfig, simulate, validate_grid
 
 EXIT_OK = 0
@@ -43,75 +46,52 @@ EXIT_VALIDATION = 4
 SEED_ENV_VAR = "PULLPUSH_SEED"
 DEFAULT_SEED = 1
 
-_CONFIG_DEFAULTS = {"tau_s": 0.25e-3, "F": 101, "k_w": 4, "k_t": 1, "k_c": 1}
-_CONFIG_FIELD_TYPES = {"tau_s": (int, float), "F": int, "k_w": int, "k_t": int, "k_c": int}
-
-MAX_SWEEP_ROWS = 10**6
+MAX_ROWS = 10**6
 MAX_CROSSOVER_SEARCHES = 10**4
 
-
-# ---------------------------------------------------------------- helpers
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text}")
-    return value
+# FrameConfig's fields by their name in config files and manifests (F for frame_slots).
+_CONFIG_FIELDS = {"F" if f.name == "frame_slots" else f.name: f for f in fields(FrameConfig)}
 
 
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text}")
-    return value
+# ---------------------------------------------------------------- argument types
+
+def _checked(name: str, convert, accept, expected: str):
+    """Argparse type: ``convert(text)``, rejected unless ``accept`` holds.
+    argparse names the type by ``name`` when ``convert`` fails."""
+    def parse(text: str):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text}")
+        return value
+    parse.__name__ = name
+    return parse
 
 
-def _nonneg_float(text: str) -> float:
-    value = float(text)
-    if not (0.0 <= value < float("inf")):
-        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text}")
-    return value
+_positive_int = _checked("_positive_int", int, lambda v: v >= 1, "an integer >= 1")
+_nonneg_int = _checked("_nonneg_int", int, lambda v: v >= 0, "an integer >= 0")
+_nonneg_float = _checked("_nonneg_float", float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
+_positive_float = _checked("_positive_float", float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
+_probability_open = _checked("_probability_open", float, lambda v: 0.0 < v < 1.0,
+                             "a value strictly inside (0, 1)")
+_unit_interval = _checked("_unit_interval", float, lambda v: 0.0 <= v <= 1.0, "a value in [0, 1]")
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (0.0 < value < float("inf")):
-        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text}")
-    return value
+def _list_of(name: str, convert, kind: str):
+    """Argparse type: a nonempty comma-separated list of ``convert`` values."""
+    def parse(text: str) -> list:
+        try:
+            values = [convert(part) for part in text.split(",") if part != ""]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a comma-separated {kind} list, got {text}")
+        if not values:
+            raise argparse.ArgumentTypeError("list must be nonempty")
+        return values
+    parse.__name__ = name
+    return parse
 
 
-def _probability_open(text: str) -> float:
-    value = float(text)
-    if not (0.0 < value < 1.0):
-        raise argparse.ArgumentTypeError(f"expected a value strictly inside (0, 1), got {text}")
-    return value
-
-
-def _unit_interval(text: str) -> float:
-    value = float(text)
-    if not (0.0 <= value <= 1.0):
-        raise argparse.ArgumentTypeError(f"expected a value in [0, 1], got {text}")
-    return value
-
-
-def _int_list(text: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text}")
-    if not values:
-        raise argparse.ArgumentTypeError("list must be nonempty")
-    return values
-
-
-def _float_list(text: str) -> list[float]:
-    try:
-        values = [float(part) for part in text.split(",") if part != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a comma-separated number list, got {text}")
-    if not values:
-        raise argparse.ArgumentTypeError("list must be nonempty")
-    return values
+_int_list = _list_of("_int_list", int, "integer")
+_float_list = _list_of("_float_list", float, "number")
 
 
 def _range_spec(text: str) -> tuple[float, float, int]:
@@ -138,87 +118,144 @@ def _load_config_file(path: str) -> dict:
     if not isinstance(data, dict):
         raise ValueError(f"config file {path}: expected a JSON object")
     for key, value in data.items():
-        if key not in _CONFIG_FIELD_TYPES:
+        if key not in _CONFIG_FIELDS:
             raise ValueError(f"config file {path}: unknown field '{key}'")
-        expected = _CONFIG_FIELD_TYPES[key]
-        if isinstance(value, bool) or not isinstance(value, expected):
-            kind = "an integer" if expected is int else "a number"
+        integer = isinstance(_CONFIG_FIELDS[key].default, int)
+        if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+            kind = "an integer" if integer else "a number"
             raise ValueError(f"config file {path}: field '{key}': expected {kind}, got {value!r}")
     return data
 
 
 def resolve_frame_config(args: argparse.Namespace) -> FrameConfig:
     """Precedence: flag > config file > built-in defaults."""
-    params = dict(_CONFIG_DEFAULTS)
-    if args.config:
-        params.update(_load_config_file(args.config))
-    for attr, key in (
-        ("tau_s", "tau_s"),
-        ("frame_slots", "F"),
-        ("k_w", "k_w"),
-        ("k_t", "k_t"),
-        ("k_c", "k_c"),
-    ):
-        value = getattr(args, attr)
-        if value is not None:
-            params[key] = value
+    from_file = _load_config_file(args.config) if args.config else {}
+    params = {}
+    for key, field in _CONFIG_FIELDS.items():
+        value = getattr(args, field.name)
+        if value is None:
+            value = from_file.get(key, field.default)
+        params[field.name] = type(field.default)(value)  # an integer tau_s becomes a float
     try:
-        return FrameConfig(
-            tau_s=float(params["tau_s"]),
-            frame_slots=params["F"],
-            k_w=params["k_w"],
-            k_t=params["k_t"],
-            k_c=params["k_c"],
-        )
+        return FrameConfig(**params)
     except ValueError as exc:
         raise ValueError(f"config: {exc}") from exc
 
 
-def _config_echo(config: FrameConfig) -> dict:
-    return {
-        "tau_s": config.tau_s,
-        "F": config.frame_slots,
-        "k_w": config.k_w,
-        "k_t": config.k_t,
-        "k_c": config.k_c,
-    }
-
-
-def _manifest(argv: Sequence[str], params: dict, seed: int | None = None) -> dict:
-    """Manifest of one document; simulation commands (those with a seed)
-    also record the RNG stream version their draws follow."""
-    manifest = {
-        "tool_version": __version__,
-        "command": shlex.join(["pullpush", *argv]),
-        "config_echo": params,
-        "seed": seed,
-    }
-    if seed is not None:
-        manifest["stream_version"] = STREAM_VERSION
-    manifest["timestamp"] = datetime.now(timezone.utc).isoformat()
-    return manifest
-
-
-def _resolve_weights(args: argparse.Namespace, load: TrafficLoad) -> Weights:
-    if getattr(args, "w_q", None) is None:
-        return Weights.traffic_fair(load)
-    return Weights(w_q=args.w_q, w_p=1.0 - args.w_q)
-
-
-def _resolve_seed(args: argparse.Namespace) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+def _sim_config(args: argparse.Namespace) -> tuple[SimConfig, dict]:
+    """SimConfig of the simulation flags and its manifest params; the seed
+    is --seed, else $PULLPUSH_SEED, else DEFAULT_SEED."""
+    seed, env = args.seed, os.environ.get(SEED_ENV_VAR)
+    if seed is None and env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise ValueError(f"{SEED_ENV_VAR}: expected an integer, got {env!r}")
-    return DEFAULT_SEED
+    sim = SimConfig(
+        frames=args.frames,
+        seed=DEFAULT_SEED if seed is None else seed,
+        replications=args.replications,
+        warmup_frames=args.warmup_frames,
+    )
+    return sim, {"frames": sim.frames, "replications": sim.replications, "warmup_frames": sim.warmup_frames}
 
 
-def _print_json(doc: dict) -> None:
-    print(json.dumps(doc, indent=2))
+# ---------------------------------------------------------------- commands
+
+class _Output(NamedTuple):
+    """A command's result: manifest ``params`` after the frame config, the
+    document ``body`` after the manifest, and ``rows`` for CSV. With rows in
+    CSV, ``brief`` replaces the document or the stderr manifest, and
+    ``trailer`` follows the rows under ``--format csv``. Simulations have a seed."""
+
+    params: dict
+    body: dict
+    rows: list[dict] | None = None
+    brief: dict | None = None
+    trailer: dict | None = None
+    seed: int | None = None
+
+
+def _cmd_analyze(args: argparse.Namespace, config: FrameConfig) -> _Output:
+    load = TrafficLoad(lambda_q=args.lambda_q, lambda_p=args.lambda_p)
+    weights = Weights.traffic_fair(load) if args.w_q is None else Weights(w_q=args.w_q, w_p=1.0 - args.w_q)
+    report = evaluate_metrics(config, load, args.q, weights)
+    params = {"lambda_q": load.lambda_q, "lambda_p": load.lambda_p, "q": args.q,
+              "w_q": weights.w_q, "w_p": weights.w_p}
+    return _Output(params, asdict(split_for_q(config, args.q)) | asdict(report))
+
+
+def _cmd_optimize(args: argparse.Namespace, config: FrameConfig) -> _Output:
+    if q_max(config) + 1 > MAX_ROWS:
+        raise ValueError(f"optimize exceeds {MAX_ROWS} rows: the frame allows q = 0..{q_max(config)}")
+    load = TrafficLoad(lambda_q=args.lambda_q, lambda_p=args.lambda_p)
+    weights = Weights.traffic_fair(load) if args.w_q is None else Weights(w_q=args.w_q, w_p=1.0 - args.w_q)
+    result = optimal_q(config, load, weights)
+    rows = [row._asdict() for row in result.per_q_table]
+    params = {"lambda_q": load.lambda_q, "lambda_p": load.lambda_p, "w_q": weights.w_q, "w_p": weights.w_p}
+    body = {"q_star": result.q_star, "p_s_at_star": result.p_s_at_star, "per_q_table": rows}
+    return _Output(params, body, rows)
+
+
+def _cmd_guidelines(args: argparse.Namespace, config: FrameConfig) -> _Output:
+    rows = [{"p_th": p_th} | asdict(row) for p_th in args.p_th for row in design_guidelines(config, p_th)]
+    return _Output({"p_th": args.p_th}, {"rows": rows}, rows)
+
+
+def _cmd_sweep(args: argparse.Namespace, config: FrameConfig) -> _Output:
+    lo, hi, steps = args.lambda_p_range
+    qs = sorted(set(args.q_list))
+    searches = len(args.ratio_list) * len(qs) * (len(qs) - 1) // 2 if args.crossovers else 0
+    if len(args.q_list) * len(args.ratio_list) * steps > MAX_ROWS or searches > MAX_CROSSOVER_SEARCHES:
+        raise ValueError(f"sweep exceeds {MAX_ROWS} rows or {MAX_CROSSOVER_SEARCHES} crossover searches")
+    grid = np.linspace(lo, hi, steps)
+    rows = [
+        {"q": q, "ratio": ratio, "lambda_p": x, "p_s_weighted": p}
+        for q in args.q_list
+        for ratio in args.ratio_list
+        for x, p in zip(grid.tolist(), weighted_success_sweep(config, q, ratio, grid).tolist())
+    ]
+    params = {"q_list": args.q_list, "ratio_list": args.ratio_list, "lambda_p_range": list(args.lambda_p_range),
+              "crossovers": args.crossovers, "lambda_p_ceiling": args.lambda_p_ceiling}
+    if not args.crossovers:
+        return _Output(params, {"rows": rows}, rows)
+    crossovers = [
+        {"ratio": ratio, "q_low": q_low, "q_high": q_high, "lambda_p_cross": crossover_push_rate(
+            config, q_low, q_high, ratio, lambda_p_ceiling=args.lambda_p_ceiling)}
+        for ratio in args.ratio_list
+        for q_low, q_high in itertools.combinations(qs, 2)
+    ]
+    return _Output(params, {"rows": rows, "crossovers": crossovers}, rows, trailer={"crossovers": crossovers})
+
+
+def _cmd_simulate(args: argparse.Namespace, config: FrameConfig) -> _Output:
+    load = TrafficLoad(lambda_q=args.lambda_q, lambda_p=args.lambda_p)
+    sim, sim_params = _sim_config(args)
+    result = simulate(config, load, args.q, sim)
+    params = {"lambda_q": load.lambda_q, "lambda_p": load.lambda_p, "q": args.q} | sim_params
+    return _Output(params, asdict(result), seed=sim.seed)
+
+
+def _cmd_validate(args: argparse.Namespace, config: FrameConfig) -> _Output:
+    sim, sim_params = _sim_config(args)
+    rows, summary = validate_grid(config, args.q_list, args.lambda_q_list, args.lambda_p_list, sim)
+    row_dicts = [  # per checked metric: analytic value, estimate, 95% half-width, deviation
+        {
+            "q": r.q, "lambda_q": r.lambda_q, "lambda_p": r.lambda_p,
+            "p_s_query_analytic": r.analytic.p_s_query, "p_s_query_hat": r.empirical.p_s_query_hat,
+            "hw_query": r.empirical.half_width_95["p_s_query"], "dev_query": r.dev_query,
+            "p_s_push_analytic": r.analytic.p_s_push, "p_s_push_hat": r.empirical.p_s_push_hat,
+            "hw_push": r.empirical.half_width_95["p_s_push"], "dev_push": r.dev_push,
+            "throughput_analytic": r.analytic.throughput_push, "throughput_hat": r.empirical.throughput_push_hat,
+            "hw_throughput": r.empirical.half_width_95["throughput_push"], "dev_throughput": r.dev_throughput,
+            "flags": r.flags,
+        }
+        for r in rows
+    ]
+    params = {"q_list": args.q_list, "lambda_q_list": args.lambda_q_list, "lambda_p_list": args.lambda_p_list,
+              **sim_params, "strict": args.strict}
+    return _Output(params, {"summary": summary, "rows": row_dicts}, row_dicts,
+                   brief={"summary": summary}, seed=sim.seed)
 
 
 def _csv_value(value):
@@ -229,240 +266,32 @@ def _csv_value(value):
     return value
 
 
-def _write_csv(rows: list[dict], columns: list[str], fh) -> None:
+def _write_csv(rows: list[dict], fh) -> None:
     writer = csv.writer(fh)
-    writer.writerow(columns)
+    writer.writerow(rows[0])
     for row in rows:
-        writer.writerow([_csv_value(row[key]) for key in columns])
+        writer.writerow([_csv_value(value) for value in row.values()])
 
 
-def _emit_rows(doc: dict, rows: list[dict], columns: list[str], args: argparse.Namespace) -> None:
-    """JSON doc to stdout; CSV to --csv or, with --format csv, to stdout."""
+def _emit(args: argparse.Namespace, manifest: dict, out: _Output) -> None:
+    """JSON doc to stdout; rows as CSV to --csv or, with --format csv, to stdout."""
+    doc = {"manifest": manifest} | out.body
+    if out.rows is None or not (args.csv or args.format == "csv"):
+        print(json.dumps(doc, indent=2))
+        return
+    brief = None if out.brief is None else {"manifest": manifest} | out.brief
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
-            _write_csv(rows, columns, fh)
-        with open(args.csv + ".manifest.json", "w") as fh:
-            json.dump(doc["manifest"], fh, indent=2)
-            fh.write("\n")
-        _print_json(doc)
-    elif getattr(args, "format", "json") == "csv":
-        _write_csv(rows, columns, sys.stdout)
-        print(json.dumps(doc["manifest"], indent=2), file=sys.stderr)
-    else:
-        _print_json(doc)
-
-
-# ---------------------------------------------------------------- commands
-
-def _cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
-    config = resolve_frame_config(args)
-    load = TrafficLoad(lambda_q=args.lambda_q, lambda_p=args.lambda_p)
-    weights = _resolve_weights(args, load)
-    report = evaluate_metrics(config, load, args.q, weights)
-    split = split_for_q(config, args.q)
-    params = _config_echo(config) | {
-        "lambda_q": load.lambda_q,
-        "lambda_p": load.lambda_p,
-        "q": args.q,
-        "w_q": weights.w_q,
-        "w_p": weights.w_p,
-    }
-    doc = {
-        "manifest": _manifest(argv, params),
-        "q": report.q,
-        "k_a": report.k_a,
-        "t_pull_s": split.t_pull_s,
-        "t_push_s": split.t_push_s,
-        "p_s_query": report.p_s_query,
-        "n_served_mean": report.n_served_mean,
-        "p_s_push": report.p_s_push,
-        "throughput_push": report.throughput_push,
-        "p_s_weighted": report.p_s_weighted,
-    }
-    _print_json(doc)
-    return EXIT_OK
-
-
-_OPTIMIZE_COLUMNS = ["q", "p_s_weighted", "p_s_query", "p_s_push", "k_a"]
-
-
-def _cmd_optimize(args: argparse.Namespace, argv: list[str]) -> int:
-    config = resolve_frame_config(args)
-    load = TrafficLoad(lambda_q=args.lambda_q, lambda_p=args.lambda_p)
-    weights = _resolve_weights(args, load)
-    result = optimal_q(config, load, weights)
-    rows = [row._asdict() for row in result.per_q_table]
-    params = _config_echo(config) | {
-        "lambda_q": load.lambda_q,
-        "lambda_p": load.lambda_p,
-        "w_q": weights.w_q,
-        "w_p": weights.w_p,
-    }
-    doc = {
-        "manifest": _manifest(argv, params),
-        "q_star": result.q_star,
-        "p_s_at_star": result.p_s_at_star,
-        "per_q_table": rows,
-    }
-    _emit_rows(doc, rows, _OPTIMIZE_COLUMNS, args)
-    return EXIT_OK
-
-
-_GUIDELINE_COLUMNS = ["p_th", "q", "lambda_q_max", "lambda_p_max", "n_served_mean", "throughput_push"]
-
-
-def _cmd_guidelines(args: argparse.Namespace, argv: list[str]) -> int:
-    config = resolve_frame_config(args)
-    rows = []
-    for p_th in args.p_th:
-        for row in design_guidelines(config, p_th):
-            rows.append({"p_th": p_th} | asdict(row))
-    params = _config_echo(config) | {"p_th": list(args.p_th)}
-    doc = {"manifest": _manifest(argv, params), "rows": rows}
-    _emit_rows(doc, rows, _GUIDELINE_COLUMNS, args)
-    return EXIT_OK
-
-
-_SWEEP_COLUMNS = ["q", "ratio", "lambda_p", "p_s_weighted"]
-
-
-def _cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
-    config = resolve_frame_config(args)
-    lo, hi, steps = args.lambda_p_range
-    qs = sorted(set(args.q_list))
-    searches = len(args.ratio_list) * len(qs) * (len(qs) - 1) // 2 if args.crossovers else 0
-    if len(args.q_list) * len(args.ratio_list) * steps > MAX_SWEEP_ROWS or searches > MAX_CROSSOVER_SEARCHES:
-        raise ValueError(f"sweep exceeds {MAX_SWEEP_ROWS} rows or {MAX_CROSSOVER_SEARCHES} crossover searches")
-    grid = np.linspace(lo, hi, steps)
-    rows = [
-        {"q": q, "ratio": ratio, "lambda_p": x, "p_s_weighted": p}
-        for q in args.q_list
-        for ratio in args.ratio_list
-        for x, p in zip(grid.tolist(), weighted_success_sweep(config, q, ratio, grid).tolist())
-    ]
-    params = _config_echo(config) | {
-        "q_list": args.q_list,
-        "ratio_list": args.ratio_list,
-        "lambda_p_range": list(args.lambda_p_range),
-        "crossovers": args.crossovers,
-        "lambda_p_ceiling": args.lambda_p_ceiling,
-    }
-    doc = {"manifest": _manifest(argv, params), "rows": rows}
-    crossovers = None
-    if args.crossovers:
-        crossovers = [
-            {"ratio": ratio, "q_low": q_low, "q_high": q_high, "lambda_p_cross": crossover_push_rate(
-                config, q_low, q_high, ratio, lambda_p_ceiling=args.lambda_p_ceiling)}
-            for ratio in args.ratio_list
-            for q_low, q_high in itertools.combinations(qs, 2)
-        ]
-        doc["crossovers"] = crossovers
-    _emit_rows(doc, rows, _SWEEP_COLUMNS, args)
-    if crossovers is not None and getattr(args, "format", "json") == "csv":
-        print(json.dumps({"crossovers": crossovers}, indent=2))
-    return EXIT_OK
-
-
-def _cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
-    config = resolve_frame_config(args)
-    load = TrafficLoad(lambda_q=args.lambda_q, lambda_p=args.lambda_p)
-    seed = _resolve_seed(args)
-    sim = SimConfig(
-        frames=args.frames,
-        seed=seed,
-        replications=args.replications,
-        warmup_frames=args.warmup_frames,
-    )
-    result = simulate(config, load, args.q, sim)
-    params = _config_echo(config) | {
-        "lambda_q": load.lambda_q,
-        "lambda_p": load.lambda_p,
-        "q": args.q,
-        "frames": sim.frames,
-        "replications": sim.replications,
-        "warmup_frames": sim.warmup_frames,
-    }
-    doc = {"manifest": _manifest(argv, params, seed=seed)} | asdict(result)
-    _print_json(doc)
-    return EXIT_OK
-
-
-_VALIDATE_COLUMNS = [
-    "q",
-    "lambda_q",
-    "lambda_p",
-    "p_s_query_analytic",
-    "p_s_query_hat",
-    "hw_query",
-    "dev_query",
-    "p_s_push_analytic",
-    "p_s_push_hat",
-    "hw_push",
-    "dev_push",
-    "throughput_analytic",
-    "throughput_hat",
-    "hw_throughput",
-    "dev_throughput",
-    "flags",
-]
-
-
-def _cmd_validate(args: argparse.Namespace, argv: list[str]) -> int:
-    config = resolve_frame_config(args)
-    seed = _resolve_seed(args)
-    sim = SimConfig(
-        frames=args.frames,
-        seed=seed,
-        replications=args.replications,
-        warmup_frames=args.warmup_frames,
-    )
-    rows, summary = validate_grid(config, args.q_list, args.lambda_q_list, args.lambda_p_list, sim)
-    row_dicts = [
-        {
-            "q": r.q,
-            "lambda_q": r.lambda_q,
-            "lambda_p": r.lambda_p,
-            "p_s_query_analytic": r.analytic.p_s_query,
-            "p_s_query_hat": r.empirical.p_s_query_hat,
-            "hw_query": r.empirical.half_width_95["p_s_query"],
-            "dev_query": r.dev_query,
-            "p_s_push_analytic": r.analytic.p_s_push,
-            "p_s_push_hat": r.empirical.p_s_push_hat,
-            "hw_push": r.empirical.half_width_95["p_s_push"],
-            "dev_push": r.dev_push,
-            "throughput_analytic": r.analytic.throughput_push,
-            "throughput_hat": r.empirical.throughput_push_hat,
-            "hw_throughput": r.empirical.half_width_95["throughput_push"],
-            "dev_throughput": r.dev_throughput,
-            "flags": r.flags,
-        }
-        for r in rows
-    ]
-    params = _config_echo(config) | {
-        "q_list": args.q_list,
-        "lambda_q_list": args.lambda_q_list,
-        "lambda_p_list": args.lambda_p_list,
-        "frames": sim.frames,
-        "replications": sim.replications,
-        "warmup_frames": sim.warmup_frames,
-        "strict": args.strict,
-    }
-    manifest = _manifest(argv, params, seed=seed)
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            _write_csv(row_dicts, _VALIDATE_COLUMNS, fh)
+            _write_csv(out.rows, fh)
         with open(args.csv + ".manifest.json", "w") as fh:
             json.dump(manifest, fh, indent=2)
             fh.write("\n")
-        _print_json({"manifest": manifest, "summary": summary})
-    elif args.format == "csv":
-        _write_csv(row_dicts, _VALIDATE_COLUMNS, sys.stdout)
-        _print_json({"manifest": manifest, "summary": summary})
+        print(json.dumps(brief or doc, indent=2))
     else:
-        _print_json({"manifest": manifest, "summary": summary, "rows": row_dicts})
-    if args.strict and summary["flags"] > 0:
-        return EXIT_VALIDATION
-    return EXIT_OK
+        _write_csv(out.rows, sys.stdout)
+        print(json.dumps(brief or manifest, indent=2), file=sys.stderr if brief is None else sys.stdout)
+    if out.trailer is not None and args.format == "csv":
+        print(json.dumps(out.trailer, indent=2))
 
 
 # ---------------------------------------------------------------- parser
@@ -540,16 +369,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args, argv)
+        config = resolve_frame_config(args)
+        out = args.handler(args, config)
+        manifest = {
+            "tool_version": __version__,
+            "command": shlex.join(["pullpush", *argv]),
+            "config_echo": {key: getattr(config, field.name) for key, field in _CONFIG_FIELDS.items()} | out.params,
+            "seed": out.seed,
+        }
+        if out.seed is not None:
+            manifest["stream_version"] = STREAM_VERSION
+        manifest["timestamp"] = datetime.now(timezone.utc).isoformat()
+        _emit(args, manifest, out)
     except (InfeasibleSplitError, InfeasibleTargetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if getattr(args, "strict", False) and out.body["summary"]["flags"] > 0:
+        return EXIT_VALIDATION
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -159,7 +159,6 @@ def crossover_push_rate(
     q_high: int,
     load_ratio: float,
     lambda_p_ceiling: float | None = None,
-    grid_points: int = _CROSSOVER_GRID,
 ) -> float | None:
     """Packet rate where the preference between q_low and q_high flips.
 
@@ -188,7 +187,7 @@ def crossover_push_rate(
         high = evaluate_metrics(config, load, q_high, w).p_s_weighted
         return low - high
 
-    grid = np.linspace(ceiling / grid_points, ceiling, grid_points)
+    grid = np.linspace(ceiling / _CROSSOVER_GRID, ceiling, _CROSSOVER_GRID)
     values = (weighted_success_sweep(config, q_low, load_ratio, grid)
               - weighted_success_sweep(config, q_high, load_ratio, grid)).tolist()
     bracket = None

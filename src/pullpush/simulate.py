@@ -355,45 +355,49 @@ def validate_grid(
     """Simulate every (q, lambda_q, lambda_p) grid point against the closed forms.
 
     Grid point i runs with seed ``sim.seed + i`` so each row is independent
-    and individually reproducible with :func:`simulate`. A push metric is
-    flagged when |empirical - analytic| exceeds 4 half-widths; the query
-    metric only when empirical falls more than 4 half-widths BELOW the
-    analytic value, which is a lower bound of the finite-population truth.
+    and individually reproducible with :func:`simulate`. Every point's load,
+    seed and closed forms are checked before the first simulation runs. A
+    push metric is flagged when |empirical - analytic| exceeds 4
+    half-widths; the query metric only when empirical falls more than 4
+    half-widths BELOW the analytic value, which is a lower bound of the
+    finite-population truth.
     """
     if not (q_list and lambda_q_list and lambda_p_list):
         raise ValueError("q_list, lambda_q_list and lambda_p_list must be nonempty")
+    points = [
+        (q, TrafficLoad(lambda_q=lam_q, lambda_p=lam_p))
+        for q in q_list
+        for lam_q in lambda_q_list
+        for lam_p in lambda_p_list
+    ]
+    analytics = [evaluate_metrics(config, load, q) for q, load in points]
+    sims = [replace(sim, seed=sim.seed + index) for index in range(len(points))]
     rows = []
-    index = 0
-    for q in q_list:
-        for lam_q in lambda_q_list:
-            for lam_p in lambda_p_list:
-                load = TrafficLoad(lambda_q=lam_q, lambda_p=lam_p)
-                analytic = evaluate_metrics(config, load, q)
-                empirical = simulate(config, load, q, replace(sim, seed=sim.seed + index))
-                dev_query = empirical.p_s_query_hat - analytic.p_s_query
-                dev_push = empirical.p_s_push_hat - analytic.p_s_push
-                dev_thr = empirical.throughput_push_hat - analytic.throughput_push
-                flags = []
-                if abs(dev_push) > 4.0 * empirical.half_width_95["p_s_push"]:
-                    flags.append("push_success_deviation")
-                if abs(dev_thr) > 4.0 * empirical.half_width_95["throughput_push"]:
-                    flags.append("push_throughput_deviation")
-                if dev_query < -4.0 * empirical.half_width_95["p_s_query"]:
-                    flags.append("query_lower_bound_violation")
-                rows.append(
-                    ValidationRow(
-                        q=q,
-                        lambda_q=lam_q,
-                        lambda_p=lam_p,
-                        analytic=analytic,
-                        empirical=empirical,
-                        dev_query=dev_query,
-                        dev_push=dev_push,
-                        dev_throughput=dev_thr,
-                        flags=tuple(flags),
-                    )
-                )
-                index += 1
+    for (q, load), analytic, point_sim in zip(points, analytics, sims):
+        empirical = simulate(config, load, q, point_sim)
+        dev_query = empirical.p_s_query_hat - analytic.p_s_query
+        dev_push = empirical.p_s_push_hat - analytic.p_s_push
+        dev_thr = empirical.throughput_push_hat - analytic.throughput_push
+        flags = []
+        if abs(dev_push) > 4.0 * empirical.half_width_95["p_s_push"]:
+            flags.append("push_success_deviation")
+        if abs(dev_thr) > 4.0 * empirical.half_width_95["throughput_push"]:
+            flags.append("push_throughput_deviation")
+        if dev_query < -4.0 * empirical.half_width_95["p_s_query"]:
+            flags.append("query_lower_bound_violation")
+        rows.append(
+            ValidationRow(
+                q=q,
+                lambda_q=load.lambda_q,
+                lambda_p=load.lambda_p,
+                analytic=analytic,
+                empirical=empirical,
+                dev_query=dev_query,
+                dev_push=dev_push,
+                dev_throughput=dev_thr,
+                flags=tuple(flags),
+            )
+        )
     summary = {
         "points": len(rows),
         "flags": sum(len(r.flags) for r in rows),

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
 import csv
+import importlib
 import json
 import math
 import tracemalloc
@@ -9,6 +10,9 @@ import pytest
 
 import pullpush.cli as cli
 from pullpush.cli import main
+
+# The package re-exports the function simulate under the submodule's name.
+simulate_module = importlib.import_module("pullpush.simulate")
 
 
 def run(capsys, *argv):
@@ -146,6 +150,19 @@ class TestOptimize:
         assert len(lines) == 21
         assert '"timestamp"' in err  # manifest goes to stderr in csv mode
 
+    def test_too_many_rows_exits_2_before_allocating(self, capsys):
+        # q_max = 1000001 for this frame, so the table would have 1000002 rows.
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "optimize", "--frame-slots", "5000007",
+                                 "--lambda-q", "250", "--lambda-p", "500")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(cli.MAX_ROWS) in err
+        assert peak < 5 * 2**20
+
 
 class TestGuidelines:
     def test_reference_rows(self, capsys):
@@ -235,7 +252,7 @@ class TestSweep:
         finally:
             tracemalloc.stop()
         assert code == 2 and out == ""
-        assert err.startswith("error: ") and str(cli.MAX_SWEEP_ROWS) in err
+        assert err.startswith("error: ") and str(cli.MAX_ROWS) in err
         assert peak < 5 * 2**20
 
     def test_too_many_crossover_searches_exits_2(self, capsys):
@@ -367,6 +384,21 @@ class TestValidate:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("grid,exit_code", [
+        (["--q-list", "5", "--lambda-q-list", "100,-1"], 2),
+        (["--q-list", "5,25", "--lambda-q-list", "100"], 3),
+        (["--q-list", "5", "--lambda-q-list", "100,200", "--seed", str(2**64 - 1)], 2),
+    ])
+    def test_bad_last_point_exits_before_simulating(self, capsys, monkeypatch, grid, exit_code):
+        # The last point's load, q or seed (sim.seed + 1 > 2**64 - 1) is rejected.
+        calls = []
+        real = simulate_module._simulate_one
+        monkeypatch.setattr(simulate_module, "_simulate_one", lambda *a: calls.append(a) or real(*a))
+        code, out, err = run(capsys, "validate", "--seed", "1", "--lambda-p-list", "100",
+                             "--frames", "1000", *grid)
+        assert code == exit_code and out == "" and err.startswith("error: ")
+        assert calls == []
+
     def test_strict_with_flags_exits_4(self, capsys, monkeypatch):
         def fake_grid(*args, **kwargs):
             return [], {
@@ -383,6 +415,23 @@ class TestValidate:
             "--lambda-p-list", "1", "--frames", "10", "--seed", "1", "--strict",
         )
         assert code == 4
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--lambda-q", "250", "--lambda-p", "500"],
+        ["guidelines", "--p-th", "0.9"],
+        ["sweep", "--q-list", "1,10", "--ratio-list", "1", "--lambda-p-range", "1:10:3"],
+        ["validate", "--q-list", "2", "--lambda-q-list", "1", "--lambda-p-list", "1",
+         "--frames", "10", "--seed", "1"],
+    ])
+    @pytest.mark.parametrize("target", ["missing/rows.csv", "."])
+    def test_unwritable_csv_path_exits_2(self, capsys, tmp_path, argv, target):
+        # A path in a missing directory, and a path that is a directory.
+        code, out, err = run(capsys, *argv, "--csv", str(tmp_path / target))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(tmp_path) in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestReproducibility:

@@ -1,4 +1,4 @@
-"""The analytic CLI reproduces its recorded outputs byte for byte (timestamps aside).
+"""The CLI reproduces its recorded outputs byte for byte (timestamps aside).
 
 The record is ``tests/golden/expected.json``, written by ``tests/make_golden.py``.
 """
@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from make_golden import CASES, EXPECTED, run_case, strip_timestamp
+from make_golden import CASES, EXPECTED, record
 
 _EXPECTED = json.loads(EXPECTED.read_text())
 
@@ -18,9 +18,8 @@ def test_every_case_is_recorded():
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_is_byte_identical(name):
-    code, out, err = run_case(CASES[name])
-    expected = _EXPECTED[name]
-    assert code == expected["exit"]
-    assert strip_timestamp(out) == expected["stdout"]
-    if code != 0:
-        assert err.startswith("error: ")
+    actual, expected = record(name), _EXPECTED[name]
+    assert actual["exit"] == expected["exit"]
+    assert actual["stdout"] == expected["stdout"]
+    assert actual["stderr"] == expected["stderr"]
+    assert actual["files"] == expected["files"]
