@@ -1,15 +1,16 @@
 """Shared numerical primitives: Poisson pmf, Poisson sampling, Erlang-B.
 
 All three are written for stability at the loads this package deals with
-(per-frame means up to ~100, server counts up to a few dozen): the pmf is
-evaluated in log space, Erlang-B uses the forward recursion instead of
-factorial ratios, and sampling is table inversion with one uniform per
-variate.
+(per-frame means into the thousands, server counts up to the 10^6 rows the
+optimizer allows): the pmf is evaluated in log space, Erlang-B uses the
+forward recursion instead of factorial ratios, and sampling is table
+inversion with one uniform per variate.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -21,12 +22,27 @@ _WINDOW_PAD = 60.0
 # Tail mass that inversion tables may drop.
 _CDF_TAIL = 1e-17
 
+# A real argument must fit a float: larger ints are rejected with the infinities.
+_FLOAT_MAX = sys.float_info.max
 
-def _check_mean(mean: float) -> float:
-    mean = float(mean)
-    if math.isnan(mean) or math.isinf(mean) or mean < 0.0:
-        raise ValueError(f"mean must be finite and >= 0, got {mean!r}")
-    return mean
+
+def _check_int(name: str, value, low: int, high: float = math.inf, must: str | None = None) -> int:
+    """``value`` if it is an int, not a bool, in [low, high); else the ValueError
+    "{name} must {must}, got {value!r}", ``must`` worded from ``low`` by default."""
+    if isinstance(value, bool) or not isinstance(value, int) or not low <= value < high:
+        must = must or ("be a nonnegative integer" if low == 0 else f"be an integer >= {low}")
+        raise ValueError(f"{name} must {must}, got {value!r}")
+    return value
+
+
+def _check_real(name: str, value, positive: bool = False, must: str | None = None) -> float:
+    """``float(value)`` if it is an int or float (np.float64 too), not a bool, finite
+    and >= 0, or > 0 if ``positive``; else the ValueError worded as in _check_int."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not (0.0 < value if positive else 0.0 <= value) or not value <= _FLOAT_MAX):
+        must = must or f"be finite and {'>' if positive else '>='} 0"
+        raise ValueError(f"{name} must {must}, got {value!r}")
+    return float(value)
 
 
 def poisson_pmf(k: int, mean: float) -> float:
@@ -35,9 +51,8 @@ def poisson_pmf(k: int, mean: float) -> float:
     Evaluated as exp(k*ln(mean) - mean - lgamma(k+1)) so that large k and
     large means neither overflow nor lose the leading digits.
     """
-    mean = _check_mean(mean)
-    if k < 0 or k != int(k):
-        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
+    mean = _check_real("mean", mean)
+    _check_int("k", k, 0)
     if mean == 0.0:
         return 1.0 if k == 0 else 0.0
     return math.exp(k * math.log(mean) - mean - math.lgamma(k + 1))
@@ -65,7 +80,8 @@ def sample_poisson_array(mean: float, size: int, rng: np.random.Generator) -> np
     one per variate and also when ``mean == 0``, and inverts one CDF table
     with them, so a sequence of calls is reproducible from the seed alone.
     """
-    mean = _check_mean(mean)
+    mean = _check_real("mean", mean)
+    _check_int("size", size, 0)
     u = rng.random(size)
     if mean == 0.0:
         return np.zeros(size, dtype=np.int64)
@@ -106,6 +122,4 @@ def erlang_b_curve(servers: int, load):
 
 def erlang_b(servers: int, load: float) -> float:
     """Erlang-B blocking probability B(servers, load), by :func:`erlang_b_steps`."""
-    if servers < 0 or servers != int(servers):
-        raise ValueError(f"servers must be a nonnegative integer, got {servers!r}")
-    return erlang_b_curve(int(servers), _check_mean(load))
+    return erlang_b_curve(_check_int("servers", servers, 0), _check_real("mean", load))

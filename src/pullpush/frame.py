@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .core import _check_int, _check_real
+
 
 class InfeasibleSplitError(ValueError):
     """Requested split leaves no random-access slot (k_a >= 1 violated)."""
@@ -31,17 +33,9 @@ class FrameConfig:
     k_c: int = 1
 
     def __post_init__(self):
-        # bool is an int subclass, so True would otherwise pass as 1.
-        if not (
-            isinstance(self.tau_s, (int, float))
-            and not isinstance(self.tau_s, bool)
-            and 0.0 < self.tau_s < float("inf")
-        ):
-            raise ValueError(f"tau_s must be a finite positive number, got {self.tau_s!r}")
+        _check_real("tau_s", self.tau_s, positive=True, must="be a finite positive number")
         for name in ("frame_slots", "k_w", "k_t", "k_c"):
-            v = getattr(self, name)
-            if not (isinstance(v, int) and not isinstance(v, bool) and v >= 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+            _check_int(name, getattr(self, name), 1)
         needed = self.k_c + self.k_w + self.k_t + 1
         if self.frame_slots < needed:
             raise ValueError(
@@ -82,8 +76,7 @@ def split_for_q(config: FrameConfig, q: int) -> FrameSplit:
     Slot bookkeeping is integer-exact; durations are derived by a single
     multiplication with tau_s. q = 0 (all-push frame) is allowed.
     """
-    if not (isinstance(q, int) and q >= 0):
-        raise ValueError(f"q must be a nonnegative integer, got {q!r}")
+    _check_int("q", q, 0)
     k_a = config.frame_slots - config.k_c - q * config.slots_per_service
     if k_a < 1:
         raise InfeasibleSplitError(

@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import erlang_b_curve, erlang_b_steps
+from .core import _check_real, erlang_b_curve, erlang_b_steps
 from .frame import FrameConfig, q_max, split_for_q
 from .metrics import (  # perfbench/tracer.py counts calls to the closed forms by these names
     TrafficLoad,
@@ -80,10 +80,9 @@ def optimal_q(
     return OptimizationResult(q_star=best.q, p_s_at_star=best.p_s_weighted, per_q_table=tuple(table))
 
 
-def _check_p_th(p_th: float) -> float:
-    if not (0.0 < p_th < 1.0):
+def _check_p_th(p_th: float) -> None:
+    if _check_real("p_th", p_th, positive=True) >= 1.0:
         raise ValueError(f"p_th must lie strictly inside (0, 1), got {p_th!r}")
-    return float(p_th)
 
 
 def _invert_decreasing(f: Callable[[float], float], target: float, hi0: float) -> float:
@@ -134,7 +133,6 @@ def max_push_rate(config: FrameConfig, q: int, p_th: float) -> float:
 def design_guidelines(config: FrameConfig, p_th: float) -> list[GuidelineRow]:
     """One row per q in [1, q_max]: the rate ceilings at the target and the
     served-query mean / push throughput attained there."""
-    _check_p_th(p_th)
     t_frame = config.t_frame_s
     rows = []
     for q in range(1, q_max(config) + 1):
@@ -171,14 +169,12 @@ def crossover_push_rate(
     """
     if not (0 <= q_low < q_high):
         raise ValueError(f"need 0 <= q_low < q_high, got ({q_low!r}, {q_high!r})")
-    if not (isinstance(load_ratio, (int, float)) and 0.0 <= load_ratio < float("inf")):
-        raise ValueError(f"load_ratio must be finite and >= 0, got {load_ratio!r}")
+    _check_real("load_ratio", load_ratio)
     k_a_low = split_for_q(config, q_low).k_a
     split_for_q(config, q_high)  # feasibility check
     t_frame = config.t_frame_s
-    ceiling = 3.0 * k_a_low / t_frame if lambda_p_ceiling is None else float(lambda_p_ceiling)
-    if not (0.0 < ceiling < math.inf):
-        raise ValueError(f"lambda_p_ceiling must be finite and > 0, got {ceiling!r}")
+    ceiling = 3.0 * k_a_low / t_frame if lambda_p_ceiling is None else lambda_p_ceiling
+    ceiling = _check_real("lambda_p_ceiling", ceiling, positive=True)
 
     def gap(lam_p: float) -> float:
         load = TrafficLoad(lambda_q=load_ratio * lam_p, lambda_p=lam_p)

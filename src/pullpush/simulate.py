@@ -23,12 +23,12 @@ this order; it changes whenever a fixed seed would give other draws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .core import _CDF_TAIL, sample_poisson_array
+from .core import _CDF_TAIL, _check_int, sample_poisson_array
 from .frame import FrameConfig, split_for_q
 from .metrics import MetricsReport, TrafficLoad, evaluate_metrics
 
@@ -43,18 +43,18 @@ METRIC_KEYS = ("p_s_query", "p_s_push", "throughput_push", "n_served_mean")
 
 @dataclass(frozen=True)
 class SimConfig:
+    """Run length and seed. ``warmup_frames`` fills the one-frame-deadline query
+    pipeline: 0 starts it empty, and every value >= 1 gives the same result."""
+
     frames: int = 100_000
     seed: int = 1
     replications: int = 1
-    warmup_frames: int = 1  # populates the serve-next-frame pipeline
+    warmup_frames: int = 1
 
     def __post_init__(self):
         for name, low in (("frames", 1), ("replications", 1), ("warmup_frames", 0)):
-            v = getattr(self, name)
-            if not (isinstance(v, int) and not isinstance(v, bool) and v >= low):
-                raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
-        if not (isinstance(self.seed, int) and not isinstance(self.seed, bool) and 0 <= self.seed < 2**64):
-            raise ValueError(f"seed must fit an unsigned 64-bit integer, got {self.seed!r}")
+            _check_int(name, getattr(self, name), low)
+        _check_int("seed", self.seed, 0, 2**64, must="fit an unsigned 64-bit integer")
 
 
 @dataclass(frozen=True)
@@ -198,9 +198,9 @@ def slot_successes(packet_counts: np.ndarray, k_a: int, rng: np.random.Generator
     frame's packet count n (clamped at the law's ``n_cap``), by inversion
     of one uniform per frame: ``rng.random(len(packet_counts))``.
     """
+    law = _singleton_law(_check_int("k_a", k_a, 1))
     counts = np.asarray(packet_counts, dtype=np.int64)
     u = rng.random(len(counts))
-    law = _singleton_law(k_a)
     n = np.minimum(counts, law.n_cap)
     return _invert_rows(law.rows_through(int(n.max(initial=0))), n, u)
 
@@ -279,33 +279,25 @@ def _sample_half_width(total: float, sumsq: float, n: int) -> float:
 
 def _merge(stats: list[_RepStats], t_frame_s: float) -> SimResult:
     stats = sorted(stats, key=lambda s: s.replication)  # order-insensitive merge
-    frames_observed = sum(s.frames for s in stats)
-    queries_total = sum(s.queries_total for s in stats)
-    queries_served = sum(s.queries_served for s in stats)
-    packets_total = sum(s.packets_total for s in stats)
-    packets_success = sum(s.packets_success for s in stats)
-    push_w_sum = sum(s.push_w_sum for s in stats)
-
-    zero_query = queries_total == 0
-    p_query = queries_served / queries_total if not zero_query else 1.0
-    p_push = push_w_sum / frames_observed
-    throughput = packets_success / (frames_observed * t_frame_s)
-    n_served = queries_served / frames_observed
+    sums = (sum(getattr(s, field.name) for s in stats) for field in fields(_RepStats)[1:])
+    total = _RepStats(-1, *sums)  # the merged record belongs to no single replication
+    estimates = total.estimates(t_frame_s)
+    zero_query = total.queries_total == 0
 
     if len(stats) == 1:
-        s = stats[0]
+        p_query = estimates["p_s_query"]
         hw = {
             "p_s_query": (
-                _Z95 * math.sqrt(p_query * (1.0 - p_query) / queries_total)
+                _Z95 * math.sqrt(p_query * (1.0 - p_query) / total.queries_total)
                 if not zero_query
                 else 0.0
             ),
-            "p_s_push": _sample_half_width(s.push_w_sum, s.push_w_sumsq, s.frames),
+            "p_s_push": _sample_half_width(total.push_w_sum, total.push_w_sumsq, total.frames),
             "throughput_push": _sample_half_width(
-                float(s.packets_success), s.succ_sumsq, s.frames
+                float(total.packets_success), total.succ_sumsq, total.frames
             )
             / t_frame_s,
-            "n_served_mean": _sample_half_width(float(s.queries_served), s.served_sumsq, s.frames),
+            "n_served_mean": _sample_half_width(float(total.queries_served), total.served_sumsq, total.frames),
         }
     else:
         per_rep = [s.estimates(t_frame_s) for s in stats]
@@ -316,16 +308,13 @@ def _merge(stats: list[_RepStats], t_frame_s: float) -> SimResult:
             hw[key] = _Z95 * float(values.std(ddof=1)) / math.sqrt(n_reps)
 
     return SimResult(
-        p_s_query_hat=p_query,
-        p_s_push_hat=p_push,
-        throughput_push_hat=throughput,
-        n_served_mean_hat=n_served,
-        queries_total=queries_total,
-        queries_served=queries_served,
-        queries_discarded=queries_total - queries_served,
-        packets_total=packets_total,
-        packets_success=packets_success,
-        frames_observed=frames_observed,
+        **{f"{key}_hat": value for key, value in estimates.items()},
+        queries_total=total.queries_total,
+        queries_served=total.queries_served,
+        queries_discarded=total.queries_total - total.queries_served,
+        packets_total=total.packets_total,
+        packets_success=total.packets_success,
+        frames_observed=total.frames,
         half_width_95=hw,
         zero_query_sample=zero_query,
     )

@@ -52,7 +52,7 @@ _INPUTS = {
     "not_json.json": "{F: 61}",
 }
 # PULLPUSH_SEED per case; every other case runs with it unset.
-_ENV = {"simulate_env_seed": "777"}
+_ENV = {"simulate_env_seed": "777", "simulate_env_seed_negative": "-1"}
 
 CASES: dict[str, list[str]] = {
     # The analytic commands of the README, as written and in each output form.
@@ -172,6 +172,16 @@ CASES: dict[str, list[str]] = {
     "reject_missing_flag": ["analyze", "--lambda-q", "250", "--q", "1"],
     "reject_frame_slots": ["analyze", "--frame-slots", "x", *_LOAD, "--q", "1"],
     "reject_command": ["plot"],
+    # Accepted by argparse, rejected by the library's own checks.
+    "reject_tau_zero": ["analyze", "--tau-s", "0", *_LOAD, "--q", "5"],
+    "reject_tau_inf": ["analyze", "--tau-s", "inf", *_LOAD, "--q", "5"],
+    "reject_tau_nan": ["analyze", "--tau-s", "nan", *_LOAD, "--q", "5"],
+    "reject_k_w_zero": ["analyze", "--k-w", "0", *_LOAD, "--q", "5"],
+    "reject_seed_overflow": ["simulate", *_SIM, "--seed", "18446744073709551616"],
+    "validate_last_seed_overflow": ["validate", "--q-list", "5", "--lambda-q-list", "100",
+                                    "--lambda-p-list", "100,200", "--frames", "1000",
+                                    "--seed", "18446744073709551615"],
+    "simulate_env_seed_negative": ["simulate", *_SIM],
     # The parser itself: version and help of every command.
     "version": ["--version"],
     "help": ["--help"],

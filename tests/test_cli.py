@@ -434,6 +434,33 @@ class TestOutputPaths:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestLibraryMessages:
+    """Rejections by the library's input checks that the golden record does
+    not replay: an overflowing or vanishing frame time, a negative q, a
+    negative ratio on an all-zero sweep."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["analyze", "--tau-s", "1e307", "--lambda-q", "250", "--lambda-p", "500", "--q", "5"],
+             "mean must be finite and >= 0, got inf"),
+            (["optimize", "--tau-s", "1e307", "--lambda-q", "0", "--lambda-p", "500"],
+             "mean must be finite and >= 0, got inf"),
+            (["simulate", "--tau-s", "1e307", "--lambda-q", "250", "--lambda-p", "500", "--q", "5",
+              "--frames", "50"], "mean must be finite and >= 0, got inf"),
+            (["sweep", "--q-list", "-1", "--ratio-list", "1", "--lambda-p-range", "0:100:3"],
+             "q must be a nonnegative integer, got -1"),
+            (["sweep", "--q-list", "1,5", "--ratio-list", "-1", "--lambda-p-range", "0:0:3", "--crossovers"],
+             "load_ratio must be finite and >= 0, got -1.0"),
+            (["sweep", "--tau-s", "5e-324", "--q-list", "1,5", "--ratio-list", "0",
+              "--lambda-p-range", "0:0:3", "--crossovers"], "lambda_p_ceiling must be finite and > 0, got inf"),
+        ],
+    )
+    def test_message_is_stable(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 class TestReproducibility:
     def test_rerun_is_byte_identical_modulo_timestamp(self, capsys):
         argv = ["optimize", "--lambda-q", "250", "--lambda-p", "500"]

@@ -1,4 +1,4 @@
-"""Tests for the Poisson / Erlang-B primitives."""
+"""Tests for the Poisson / Erlang-B primitives and the input rule the package checks in core."""
 
 import math
 
@@ -8,6 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pullpush.core import erlang_b, poisson_pmf, sample_poisson, sample_poisson_array
+from pullpush.frame import FrameConfig, split_for_q
+from pullpush.metrics import (
+    TrafficLoad,
+    Weights,
+    evaluate_metrics,
+    push_success_prob,
+    push_success_prob_given,
+    push_throughput,
+)
+from pullpush.optimize import crossover_push_rate, design_guidelines
+from pullpush.simulate import slot_successes
 
 # High-precision reference for pmf(12, 12.625), computed by direct
 # summation of mu^k e^(-mu) / k! in 50-digit arithmetic.
@@ -160,3 +171,47 @@ class TestSamplePoisson:
         x = sample_poisson(mean, np.random.default_rng(seed))
         y = sample_poisson(mean, np.random.default_rng(seed))
         assert x == y >= 0
+
+
+class TestInputRule:
+    """Slot and server counts are ints, rates, means and durations finite reals."""
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: split_for_q(FrameConfig(), True), "q"),
+            (lambda: evaluate_metrics(FrameConfig(), TrafficLoad(1.0, 1.0), True), "q"),
+            (lambda: erlang_b(2, "3"), "mean"),
+            (lambda: erlang_b(2.0, 1.0), "servers"),
+            (lambda: erlang_b(np.int64(3), 1.0), "servers"),
+            (lambda: poisson_pmf(2.0, 1.0), "k"),
+            (lambda: poisson_pmf(1, "3"), "mean"),
+            (lambda: push_success_prob(True, 1.0), "k_a"),
+            (lambda: push_success_prob(5, "1e2"), "mean"),
+            (lambda: push_success_prob_given(2, True), "n_packets"),
+            (lambda: push_throughput(5, 1.0, True), "t_frame_s"),
+            (lambda: push_throughput(5, 1.0, "0.02"), "t_frame_s"),
+            (lambda: Weights(True, False), "w_q"),
+            (lambda: Weights("0.5", 0.5), "w_q"),
+            (lambda: TrafficLoad(10**400, 0.0), "lambda_q"),
+            (lambda: crossover_push_rate(FrameConfig(), 1, 5, True), "load_ratio"),
+            (lambda: design_guidelines(FrameConfig(), "0.5"), "p_th"),
+            (lambda: slot_successes(np.array([3, 4]), 0, np.random.default_rng(1)), "k_a"),
+            (lambda: sample_poisson_array(1.0, 2.5, np.random.default_rng(1)), "size"),
+        ],
+    )
+    def test_bad_input_is_a_value_error_naming_the_argument(self, call, name):
+        with pytest.raises(ValueError, match=rf"^{name} must "):
+            call()
+
+    def test_float64_rates_give_the_same_bits(self):
+        mean, t_frame = 10.1, FrameConfig().t_frame_s
+        for f, args in [(erlang_b, (10, mean)), (push_success_prob, (50, mean)),
+                        (push_throughput, (50, mean, t_frame)), (poisson_pmf, (7, mean))]:
+            as_float64 = [np.float64(a) if isinstance(a, float) else a for a in args]
+            assert float(f(*as_float64)).hex() == f(*args).hex()
+        draws = sample_poisson_array(np.float64(mean), 1000, np.random.default_rng(4))
+        assert np.array_equal(draws, sample_poisson_array(mean, 1000, np.random.default_rng(4)))
+        load = TrafficLoad(np.float64(250.0), np.float64(500.0))
+        assert evaluate_metrics(FrameConfig(), load, 10) == evaluate_metrics(
+            FrameConfig(), TrafficLoad(250.0, 500.0), 10)

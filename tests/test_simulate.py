@@ -132,6 +132,13 @@ class TestTrivialCases:
         assert cold.queries_total == 0
         assert warm.queries_total > 0 and warm.queries_served == 3
 
+    def test_warmup_beyond_one_frame_changes_nothing(self):
+        # The deadline is one frame: any warmup >= 1 only fills the pipeline.
+        load = TrafficLoad(250.0, 500.0)
+        results = [simulate(DEFAULT_CONFIG, load, 10, SimConfig(frames=40_000, seed=5, warmup_frames=w))
+                   for w in (1, 7)]
+        assert results[0] == results[1]
+
     def test_infeasible_q_propagates(self):
         with pytest.raises(InfeasibleSplitError):
             simulate(DEFAULT_CONFIG, TrafficLoad(1.0, 1.0), 20, SimConfig(frames=10, seed=1))
