@@ -19,6 +19,7 @@ config error or an unwritable output path, 3 infeasible design point,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import json
@@ -135,7 +136,9 @@ def resolve_frame_config(args: argparse.Namespace) -> FrameConfig:
         value = getattr(args, field.name)
         if value is None:
             value = from_file.get(key, field.default)
-        params[field.name] = type(field.default)(value)  # an integer tau_s becomes a float
+        with contextlib.suppress(OverflowError):  # FrameConfig names an int beyond float range
+            value = type(field.default)(value)  # an integer tau_s becomes a float
+        params[field.name] = value
     try:
         return FrameConfig(**params)
     except ValueError as exc:

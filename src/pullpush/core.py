@@ -22,6 +22,10 @@ _WINDOW_PAD = 60.0
 # Tail mass that inversion tables may drop.
 _CDF_TAIL = 1e-17
 
+# Largest per-frame mean a sampler accepts: its table then has 948805 entries
+# (~0.2 s and ~100 MB to build); the table grows as 30 sqrt(mean).
+_MAX_POISSON_MEAN = 1e9
+
 # A real argument must fit a float: larger ints are rejected with the infinities.
 _FLOAT_MAX = sys.float_info.max
 
@@ -43,6 +47,14 @@ def _check_real(name: str, value, positive: bool = False, must: str | None = Non
         must = must or f"be finite and {'>' if positive else '>='} 0"
         raise ValueError(f"{name} must {must}, got {value!r}")
     return float(value)
+
+
+def _check_poisson_mean(mean) -> float:
+    """``_check_real("mean", mean)``, also rejecting a mean above _MAX_POISSON_MEAN."""
+    mean = _check_real("mean", mean)
+    if mean > _MAX_POISSON_MEAN:
+        raise ValueError(f"mean must be at most {_MAX_POISSON_MEAN:g} per frame, got {mean!r}")
+    return mean
 
 
 def poisson_pmf(k: int, mean: float) -> float:
@@ -79,8 +91,9 @@ def sample_poisson_array(mean: float, size: int, rng: np.random.Generator) -> np
     Consumes exactly ``size`` uniforms from ``rng`` (``rng.random(size)``),
     one per variate and also when ``mean == 0``, and inverts one CDF table
     with them, so a sequence of calls is reproducible from the seed alone.
+    A mean above _MAX_POISSON_MEAN is rejected before any uniform is drawn.
     """
-    mean = _check_real("mean", mean)
+    mean = _check_poisson_mean(mean)
     _check_int("size", size, 0)
     u = rng.random(size)
     if mean == 0.0:

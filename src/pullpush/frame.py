@@ -36,6 +36,7 @@ class FrameConfig:
         _check_real("tau_s", self.tau_s, positive=True, must="be a finite positive number")
         for name in ("frame_slots", "k_w", "k_t", "k_c"):
             _check_int(name, getattr(self, name), 1)
+        _check_real("frame_slots", self.frame_slots, must="fit a float")  # t_frame_s = tau_s * frame_slots
         needed = self.k_c + self.k_w + self.k_t + 1
         if self.frame_slots < needed:
             raise ValueError(

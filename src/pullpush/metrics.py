@@ -81,6 +81,11 @@ def query_success_prob(q: int, mean_queries: float) -> float:
     return 1.0 - erlang_b(q, mean_queries)
 
 
+def query_success_curve(q: int, m):
+    """:func:`query_success_prob`, bitwise, at a float or float64-array mean m, unchecked."""
+    return 1.0 - erlang_b_curve(q, m)
+
+
 def mean_served_queries(q: int, mean_queries: float) -> float:
     """Mean successfully served queries per frame (Poisson thinning)."""
     return mean_queries * query_success_prob(q, mean_queries)
@@ -193,7 +198,7 @@ def weighted_success_sweep(config: FrameConfig, q: int, ratio: float, lambda_p: 
     Weights.traffic_fair(TrafficLoad(ratio * top, top))
     lambda_q = ratio * lambda_p
     t_frame = config.t_frame_s
-    p_query = 1.0 - erlang_b_curve(q, lambda_q * t_frame)
+    p_query = query_success_curve(q, lambda_q * t_frame)
     p_push = push_success_curve(k_a, lambda_p * t_frame)
     total = lambda_q + lambda_p
     w_q = np.divide(lambda_q, total, out=np.full_like(total, 0.5), where=total > 0.0)

@@ -2,19 +2,20 @@
 
 The q search is exhaustive (the domain has at most q_max + 1 points and the
 weighted objective is not guaranteed unimodal) and takes every q's blocking
-from one Erlang-B recursion pass. Rate inversions use plain bisection on
-the strictly monotone success-probability maps.
+from one Erlang-B recursion pass. A rate ceiling, pull or push, is one search:
+the rate doubles from slots / T_frame until the success curve of q servers or
+k_a access slots falls to the target, then is bisected. A crossover is a grid
+scan of the weighted-success gap whose first bracket is then bisected.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import _check_real, erlang_b_curve, erlang_b_steps
+from .core import _check_real, erlang_b_steps
 from .frame import FrameConfig, q_max, split_for_q
 from .metrics import (  # perfbench/tracer.py counts calls to the closed forms by these names
     TrafficLoad,
@@ -24,6 +25,7 @@ from .metrics import (  # perfbench/tracer.py counts calls to the closed forms b
     push_success_curve,
     push_success_prob,
     push_throughput,
+    query_success_curve,
     query_success_prob,
     weighted_success_sweep,
 )
@@ -85,21 +87,19 @@ def _check_p_th(p_th: float) -> None:
         raise ValueError(f"p_th must lie strictly inside (0, 1), got {p_th!r}")
 
 
-def _invert_decreasing(f: Callable[[float], float], target: float, hi0: float) -> float:
-    """Solve f(x) = target for f strictly decreasing with f(0) >= target.
-
-    Doubles hi0 until f crosses the target, then bisects to relative
-    width _BISECT_REL_TOL.
-    """
-    hi = hi0
-    while f(hi) > target:
+def _max_rate(config: FrameConfig, slots: int, curve: Callable[[int, float], float], p_th: float) -> float:
+    """Largest arrival rate [1/s] with curve(slots, rate * T_frame) >= p_th, for a
+    curve strictly decreasing from 1; bisected to relative width _BISECT_REL_TOL."""
+    t_frame = config.t_frame_s
+    hi = slots / t_frame
+    while curve(slots, hi * t_frame) > p_th:
         hi *= 2.0
         if hi > 1e300:
             raise InfeasibleTargetError("success target is never crossed on the swept range")
     lo = 0.0
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        if f(mid) > target:
+        if curve(slots, mid * t_frame) > p_th:
             lo = mid
         else:
             hi = mid
@@ -114,40 +114,27 @@ def max_query_rate(config: FrameConfig, q: int, p_th: float) -> float:
     split_for_q(config, q)  # feasibility check, raises on bad q
     if q == 0:
         raise InfeasibleTargetError("q=0 serves no queries, no arrival rate meets a target")
-    t_frame = config.t_frame_s
-    return _invert_decreasing(
-        lambda lam: 1.0 - erlang_b_curve(q, lam * t_frame), p_th, hi0=max(q, 1) / t_frame
-    )
+    return _max_rate(config, q, query_success_curve, p_th)
 
 
 def max_push_rate(config: FrameConfig, q: int, p_th: float) -> float:
     """Largest packet arrival rate [1/s] whose success probability meets p_th."""
     _check_p_th(p_th)
-    k_a = split_for_q(config, q).k_a
-    t_frame = config.t_frame_s
-    return _invert_decreasing(
-        lambda lam: push_success_curve(k_a, lam * t_frame), p_th, hi0=k_a / t_frame
-    )
+    return _max_rate(config, split_for_q(config, q).k_a, push_success_curve, p_th)
 
 
 def design_guidelines(config: FrameConfig, p_th: float) -> list[GuidelineRow]:
     """One row per q in [1, q_max]: the rate ceilings at the target and the
     served-query mean / push throughput attained there."""
+    _check_p_th(p_th)
     t_frame = config.t_frame_s
     rows = []
     for q in range(1, q_max(config) + 1):
-        lam_q = max_query_rate(config, q, p_th)
-        lam_p = max_push_rate(config, q, p_th)
         k_a = split_for_q(config, q).k_a
-        rows.append(
-            GuidelineRow(
-                q=q,
-                lambda_q_max=lam_q,
-                lambda_p_max=lam_p,
-                n_served_mean=mean_served_queries(q, lam_q * t_frame),
-                throughput_push=push_throughput(k_a, lam_p * t_frame, t_frame),
-            )
-        )
+        lam_q = _max_rate(config, q, query_success_curve, p_th)
+        lam_p = _max_rate(config, k_a, push_success_curve, p_th)
+        rows.append(GuidelineRow(q, lam_q, lam_p, mean_served_queries(q, lam_q * t_frame),
+                                 push_throughput(k_a, lam_p * t_frame, t_frame)))
     return rows
 
 
@@ -186,23 +173,20 @@ def crossover_push_rate(
     grid = np.linspace(ceiling / _CROSSOVER_GRID, ceiling, _CROSSOVER_GRID)
     values = (weighted_success_sweep(config, q_low, load_ratio, grid)
               - weighted_success_sweep(config, q_high, load_ratio, grid)).tolist()
-    bracket = None
     for i in range(len(grid) - 1):
         if values[i] == 0.0:
             return float(grid[i])
         if values[i] * values[i + 1] < 0.0:
-            bracket = (grid[i], grid[i + 1])
             break
-    if bracket is None:
+    else:
         return None
-    lo, hi = bracket
-    sign_lo = math.copysign(1.0, gap(lo))
+    lo, hi, lo_positive = grid[i], grid[i + 1], values[i] > 0.0
     while hi - lo > _CROSSOVER_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         g = gap(mid)
         if g == 0.0:
             return mid
-        if math.copysign(1.0, g) == sign_lo:
+        if (g > 0.0) == lo_positive:
             lo = mid
         else:
             hi = mid

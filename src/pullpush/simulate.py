@@ -22,13 +22,14 @@ this order; it changes whenever a fixed seed would give other draws.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .core import _CDF_TAIL, _check_int, sample_poisson_array
+from .core import _CDF_TAIL, _check_int, _check_poisson_mean, sample_poisson_array
 from .frame import FrameConfig, split_for_q
 from .metrics import MetricsReport, TrafficLoad, evaluate_metrics
 
@@ -108,15 +109,10 @@ def _singleton_cap(k_a: int) -> int:
     def below(n: int) -> bool:
         return math.log(n) + (n - 1) * step < limit
 
-    if below(k_a):
-        return k_a
-    lo, hi = k_a, 2 * k_a  # below(lo) is false throughout
+    hi = k_a
     while not below(hi):
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if below(mid) else (mid, hi)
-    return hi
+        hi *= 2
+    return bisect.bisect_left(range(k_a, hi + 1), True, key=below) + k_a
 
 
 class _SingletonLaw:
@@ -345,11 +341,11 @@ def validate_grid(
 
     Grid point i runs with seed ``sim.seed + i`` so each row is independent
     and individually reproducible with :func:`simulate`. Every point's load,
-    seed and closed forms are checked before the first simulation runs. A
-    push metric is flagged when |empirical - analytic| exceeds 4
-    half-widths; the query metric only when empirical falls more than 4
-    half-widths BELOW the analytic value, which is a lower bound of the
-    finite-population truth.
+    seed, closed forms and per-frame sampler means are checked before the
+    first simulation runs. A push metric is flagged when |empirical -
+    analytic| exceeds 4 half-widths; the query metric only when empirical
+    falls more than 4 half-widths BELOW the analytic value, which is a lower
+    bound of the finite-population truth.
     """
     if not (q_list and lambda_q_list and lambda_p_list):
         raise ValueError("q_list, lambda_q_list and lambda_p_list must be nonempty")
@@ -360,6 +356,9 @@ def validate_grid(
         for lam_p in lambda_p_list
     ]
     analytics = [evaluate_metrics(config, load, q) for q, load in points]
+    for _, load in points:
+        _check_poisson_mean(load.mean_queries_per_frame(config.t_frame_s))
+        _check_poisson_mean(load.mean_packets_per_frame(config.t_frame_s))
     sims = [replace(sim, seed=sim.seed + index) for index in range(len(points))]
     rows = []
     for (q, load), analytic, point_sim in zip(points, analytics, sims):

@@ -461,6 +461,56 @@ class TestLibraryMessages:
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+_BIG_INT = "1" + "0" * 400  # 401 digits: beyond float range
+
+
+class TestBoundedInputs:
+    """Inputs the argument types accept but the program cannot run: a
+    per-frame Poisson mean above 1e9, or an integer beyond float range.
+    Each exits 2 with one error line naming the field, before any drawing."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--lambda-q", "1e308", "--lambda-p", "1", "--q", "2", "--frames", "10"],
+             "mean must be at most 1e+09 per frame, got 2.5250000000000003e+306"),
+            (["simulate", "--tau-s", "1e300", "--lambda-q", "1", "--lambda-p", "1", "--q", "2", "--frames", "10"],
+             "mean must be at most 1e+09 per frame, got 1.01e+302"),
+            (["simulate", "--lambda-q", "4e13", "--lambda-p", "1", "--q", "2", "--frames", "10"],
+             "mean must be at most 1e+09 per frame, got 1010000000000.0001"),
+            (["analyze", "--frame-slots", _BIG_INT, "--lambda-q", "1", "--lambda-p", "1", "--q", "2"],
+             f"config: frame_slots must fit a float, got {_BIG_INT}"),
+            (["guidelines", "--frame-slots", _BIG_INT, "--p-th", "0.9"],
+             f"config: frame_slots must fit a float, got {_BIG_INT}"),
+            (["simulate", "--frame-slots", _BIG_INT, "--lambda-q", "1", "--lambda-p", "1", "--q", "2",
+              "--frames", "10"], f"config: frame_slots must fit a float, got {_BIG_INT}"),
+        ],
+        ids=["lambda_q_1e308", "tau_s_1e300", "lambda_q_4e13", "analyze_F", "guidelines_F", "simulate_F"],
+    )
+    def test_exits_2_naming_the_field(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_validate_checks_every_mean_before_simulating(self, capsys, monkeypatch):
+        calls = []
+        original = simulate_module._simulate_one
+        monkeypatch.setattr(simulate_module, "_simulate_one", lambda *a: calls.append(a) or original(*a))
+        code, out, err = run(capsys, "validate", "--q-list", "2", "--lambda-q-list", "1",
+                             "--lambda-p-list", "1,1e308", "--frames", "10")
+        message = "mean must be at most 1e+09 per frame, got 2.5250000000000003e+306"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert calls == []
+
+    @pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
+    def test_config_tau_beyond_float_range(self, capsys, tmp_path, sign):
+        path = tmp_path / "frame.json"
+        path.write_text(f'{{"tau_s": {sign}{_BIG_INT}}}')
+        code, out, err = run(capsys, "analyze", "--config", str(path), "--lambda-q", "1", "--lambda-p", "1",
+                             "--q", "2")
+        message = f"config: tau_s must be a finite positive number, got {sign}{_BIG_INT}"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 class TestReproducibility:
     def test_rerun_is_byte_identical_modulo_timestamp(self, capsys):
         argv = ["optimize", "--lambda-q", "250", "--lambda-p", "500"]

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pullpush.core import erlang_b, poisson_pmf, sample_poisson, sample_poisson_array
+from pullpush.core import (
+    _MAX_POISSON_MEAN,
+    _check_poisson_mean,
+    erlang_b,
+    poisson_pmf,
+    sample_poisson,
+    sample_poisson_array,
+)
 from pullpush.frame import FrameConfig, split_for_q
 from pullpush.metrics import (
     TrafficLoad,
@@ -117,6 +124,16 @@ class TestSamplePoisson:
         with pytest.raises(ValueError):
             sample_poisson(-0.1, rng)
 
+    def test_mean_bound(self):
+        # The largest accepted mean builds a 948805-entry table; one float
+        # above it is rejected before a uniform is drawn.
+        assert _check_poisson_mean(_MAX_POISSON_MEAN) == 1e9
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"^mean must be at most 1e\+09 per frame, got 1000000000.0000001$"):
+            sample_poisson_array(math.nextafter(1e9, math.inf), 3, rng)
+        assert rng.bit_generator.state == state
+
     def test_identical_seeds_identical_sequences(self):
         a = np.random.default_rng(1234)
         b = np.random.default_rng(1234)
@@ -198,6 +215,8 @@ class TestInputRule:
             (lambda: design_guidelines(FrameConfig(), "0.5"), "p_th"),
             (lambda: slot_successes(np.array([3, 4]), 0, np.random.default_rng(1)), "k_a"),
             (lambda: sample_poisson_array(1.0, 2.5, np.random.default_rng(1)), "size"),
+            (lambda: sample_poisson_array(1e15, 1, np.random.default_rng(1)), "mean"),
+            (lambda: FrameConfig(frame_slots=10**400), "frame_slots"),
         ],
     )
     def test_bad_input_is_a_value_error_naming_the_argument(self, call, name):

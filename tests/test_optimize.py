@@ -1,5 +1,7 @@
 """Tests for the frame-design procedures."""
 
+import hashlib
+import itertools
 import math
 import time
 
@@ -227,3 +229,24 @@ class TestCrossover:
         gap = weighted(1, value) - weighted(10, value)
         slope_scale = abs(weighted(1, value * 1.01) - weighted(1, value)) + 1e-12
         assert abs(gap) < 50.0 * slope_scale  # within the bisection tolerance
+
+
+class TestBitwisePin:
+    def test_guidelines_and_crossovers_digest(self):
+        # 4090 outputs: every guideline field at F in {12, 101, 1001} x four
+        # targets, and the crossover of all 190 q pairs of the reference
+        # frame at three load ratios. The digest was taken before the rate
+        # searches were merged into one, so any change of a bit shows here.
+        values = []
+        for frame_slots in (12, 101, 1001):
+            for p_th in (1e-6, 0.5, 0.9, 0.999999):
+                for row in design_guidelines(FrameConfig(frame_slots=frame_slots), p_th):
+                    values += [row.lambda_q_max, row.lambda_p_max, row.n_served_mean, row.throughput_push]
+        for q_low, q_high in itertools.combinations(range(q_max(DEFAULT_CONFIG) + 1), 2):
+            for ratio in (0.1, 1.0, 2.0):
+                values.append(crossover_push_rate(DEFAULT_CONFIG, q_low, q_high, ratio))
+        assert len(values) == 4090
+        text = "\n".join("None" if v is None else v.hex() for v in values)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "6494463b2a29a51bc5939a81e86f1f98de8fd61aeff95375420aa84402dccfea"
+        )
