@@ -49,6 +49,7 @@ DEFAULT_SEED = 1
 
 MAX_ROWS = 10**6
 MAX_CROSSOVER_SEARCHES = 10**4
+MAX_GUIDELINE_WORK = 4 * 10**6  # targets x q_max^2: the rate searches of one q cost O(q)
 
 # FrameConfig's fields by their name in config files and manifests (F for frame_slots).
 _CONFIG_FIELDS = {"F" if f.name == "frame_slots" else f.name: f for f in fields(FrameConfig)}
@@ -201,6 +202,9 @@ def _cmd_optimize(args: argparse.Namespace, config: FrameConfig) -> _Output:
 
 
 def _cmd_guidelines(args: argparse.Namespace, config: FrameConfig) -> _Output:
+    if len(args.p_th) * q_max(config) ** 2 > MAX_GUIDELINE_WORK:
+        raise ValueError(f"guidelines exceeds {MAX_GUIDELINE_WORK} targets x q_max^2: "
+                         f"{len(args.p_th)} targets, q = 1..{q_max(config)}")
     rows = [{"p_th": p_th} | asdict(row) for p_th in args.p_th for row in design_guidelines(config, p_th)]
     return _Output({"p_th": args.p_th}, {"rows": rows}, rows)
 

@@ -9,6 +9,7 @@ inversion with one uniform per variate.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 
@@ -70,8 +71,9 @@ def poisson_pmf(k: int, mean: float) -> float:
     return math.exp(k * math.log(mean) - mean - math.lgamma(k + 1))
 
 
+@functools.lru_cache(maxsize=2)  # a replication draws from two means, chunk after chunk
 def _inversion_table(mean: float) -> tuple[int, np.ndarray]:
-    """(first value, CDF) of Poisson(mean) over its inversion window.
+    """(first value, read-only CDF) of Poisson(mean) over its inversion window.
 
     The window is [mean - 15 sqrt(mean) - 60, mean + 15 sqrt(mean) + 60]
     clipped at 0; the pmf is evaluated in log space and the CDF normalized
@@ -82,7 +84,9 @@ def _inversion_table(mean: float) -> tuple[int, np.ndarray]:
     ks = np.arange(first, math.ceil(mean + half) + 1)
     log_fact = np.array([math.lgamma(k + 1.0) for k in ks.tolist()])
     cdf = np.cumsum(np.exp(ks * math.log(mean) - mean - log_fact))
-    return first, cdf / cdf[-1]
+    cdf /= cdf[-1]
+    cdf.flags.writeable = False
+    return first, cdf
 
 
 def sample_poisson_array(mean: float, size: int, rng: np.random.Generator) -> np.ndarray:

@@ -186,20 +186,23 @@ def evaluate_metrics(
     )
 
 
-def weighted_success_sweep(config: FrameConfig, q: int, ratio: float, lambda_p: np.ndarray) -> np.ndarray:
+def weighted_success_sweep(config: FrameConfig, q: int, ratio: float, lambda_p):
     """``evaluate_metrics(config, TrafficLoad(ratio * x, x), q).p_s_weighted``,
-    bitwise, at each x of the nondecreasing float64 array ``lambda_p``.
+    bitwise, at a float x or at each x of a nondecreasing float64 array ``lambda_p``.
 
     The rates and their traffic-fair weights are monotone in x, so they are
-    valid at every x iff at the last one, the only point checked.
+    valid at every x iff at the last one, the only point checked; a float x is its own last point.
     """
     k_a = split_for_q(config, q).k_a
-    top = float(lambda_p[-1])
-    Weights.traffic_fair(TrafficLoad(ratio * top, top))
+    is_array = isinstance(lambda_p, np.ndarray)
+    top = float(lambda_p[-1]) if is_array else lambda_p
+    w = Weights.traffic_fair(TrafficLoad(ratio * top, top))
     lambda_q = ratio * lambda_p
     t_frame = config.t_frame_s
     p_query = query_success_curve(q, lambda_q * t_frame)
     p_push = push_success_curve(k_a, lambda_p * t_frame)
+    if not is_array:
+        return w.w_q * p_query + w.w_p * p_push
     total = lambda_q + lambda_p
     w_q = np.divide(lambda_q, total, out=np.full_like(total, 0.5), where=total > 0.0)
     w_p = np.divide(lambda_p, total, out=np.full_like(total, 0.5), where=total > 0.0)

@@ -5,7 +5,8 @@ weighted objective is not guaranteed unimodal) and takes every q's blocking
 from one Erlang-B recursion pass. A rate ceiling, pull or push, is one search:
 the rate doubles from slots / T_frame until the success curve of q servers or
 k_a access slots falls to the target, then is bisected. A crossover is a grid
-scan of the weighted-success gap whose first bracket is then bisected.
+scan of the weighted-success gap whose first bracket is then bisected; scan
+and bisection use one evaluator, :func:`weighted_success_sweep`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ import numpy as np
 
 from .core import _check_real, erlang_b_steps
 from .frame import FrameConfig, q_max, split_for_q
-from .metrics import (  # perfbench/tracer.py counts calls to the closed forms by these names
+# perfbench/tracer.py counts calls to the closed forms by these names; it is the
+# only user of evaluate_metrics and query_success_prob here.
+from .metrics import (
     TrafficLoad,
     Weights,
     evaluate_metrics,
@@ -158,18 +161,8 @@ def crossover_push_rate(
         raise ValueError(f"need 0 <= q_low < q_high, got ({q_low!r}, {q_high!r})")
     _check_real("load_ratio", load_ratio)
     k_a_low = split_for_q(config, q_low).k_a
-    split_for_q(config, q_high)  # feasibility check
-    t_frame = config.t_frame_s
-    ceiling = 3.0 * k_a_low / t_frame if lambda_p_ceiling is None else lambda_p_ceiling
+    ceiling = 3.0 * k_a_low / config.t_frame_s if lambda_p_ceiling is None else lambda_p_ceiling
     ceiling = _check_real("lambda_p_ceiling", ceiling, positive=True)
-
-    def gap(lam_p: float) -> float:
-        load = TrafficLoad(lambda_q=load_ratio * lam_p, lambda_p=lam_p)
-        w = Weights.traffic_fair(load)
-        low = evaluate_metrics(config, load, q_low, w).p_s_weighted
-        high = evaluate_metrics(config, load, q_high, w).p_s_weighted
-        return low - high
-
     grid = np.linspace(ceiling / _CROSSOVER_GRID, ceiling, _CROSSOVER_GRID)
     values = (weighted_success_sweep(config, q_low, load_ratio, grid)
               - weighted_success_sweep(config, q_high, load_ratio, grid)).tolist()
@@ -180,10 +173,11 @@ def crossover_push_rate(
             break
     else:
         return None
-    lo, hi, lo_positive = grid[i], grid[i + 1], values[i] > 0.0
+    lo, hi, lo_positive = float(grid[i]), float(grid[i + 1]), values[i] > 0.0
     while hi - lo > _CROSSOVER_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
-        g = gap(mid)
+        g = (weighted_success_sweep(config, q_low, load_ratio, mid)
+             - weighted_success_sweep(config, q_high, load_ratio, mid))
         if g == 0.0:
             return mid
         if (g > 0.0) == lo_positive:

@@ -252,7 +252,7 @@ def _simulate_one(
         served = np.minimum(resolved, q)
         stats.queries_total += int(resolved.sum())
         stats.queries_served += int(served.sum())
-        stats.served_sumsq += float(np.dot(served, served))
+        stats.served_sumsq += float((served * served).sum())
 
         n_p = sample_poisson_array(mean_p, size, rng)
         succ = slot_successes(n_p, split.k_a, rng)
@@ -260,8 +260,8 @@ def _simulate_one(
         stats.packets_total += int(n_p.sum())
         stats.packets_success += int(succ.sum())
         stats.push_w_sum += float(w.sum())
-        stats.push_w_sumsq += float((w * w).sum())  # np.dot would start BLAS threads
-        stats.succ_sumsq += float(np.dot(succ, succ))
+        stats.push_w_sumsq += float((w * w).sum())
+        stats.succ_sumsq += float((succ * succ).sum())
     return stats
 
 

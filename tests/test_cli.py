@@ -202,6 +202,18 @@ class TestGuidelines:
         header = out.strip().splitlines()[0].strip()
         assert header == "p_th,q,lambda_q_max,lambda_p_max,n_served_mean,throughput_push"
 
+    @pytest.mark.parametrize("argv", [
+        ("--frame-slots", "100001", "--p-th", "0.9"),  # q_max = 19999: ~12 min of rate searches
+        ("--frame-slots", "10001", "--p-th", "0.9", "--p-th", "0.8"),  # q_max = 1999, two targets
+    ])
+    def test_too_much_work_exits_2_before_any_table(self, capsys, monkeypatch, argv):
+        calls = []
+        monkeypatch.setattr(cli, "design_guidelines", lambda *a: calls.append(a))
+        code, out, err = run(capsys, "guidelines", *argv)
+        assert code == 2 and out == "" and calls == []
+        assert err.startswith("error: ") and str(cli.MAX_GUIDELINE_WORK) in err
+        assert err.count("\n") == 1
+
 
 class TestSweep:
     def test_monotone_in_packet_rate(self, capsys):

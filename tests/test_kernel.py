@@ -87,3 +87,5 @@ def test_weighted_sweep_is_the_per_point_report(frame_slots, q, ratio, lo, width
         evaluate_metrics(config, TrafficLoad(ratio * x, x), q).p_s_weighted for x in grid.tolist()
     ]
     assert bits(weighted_success_sweep(config, q, ratio, grid)) == bits(expected)
+    # A float point takes the scalar path; the crossover bisection relies on it.
+    assert bits([weighted_success_sweep(config, q, ratio, x) for x in grid.tolist()]) == bits(expected)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pullpush.optimize as optimize_module
 from pullpush.frame import FrameConfig, InfeasibleSplitError, q_max, split_for_q
 from pullpush.metrics import (
     TrafficLoad,
@@ -206,6 +207,16 @@ class TestCrossover:
 
         assert gap(0.5 * value) < 0.0  # more services preferred below
         assert gap(1.5 * value) > 0.0  # fewer services preferred above
+
+    def test_search_builds_no_report(self, monkeypatch):
+        # Scan and bisection both evaluate through weighted_success_sweep.
+        expected = crossover_push_rate(DEFAULT_CONFIG, 1, 10, 0.5)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("crossover_push_rate called evaluate_metrics")
+
+        monkeypatch.setattr(optimize_module, "evaluate_metrics", refuse)
+        assert crossover_push_rate(DEFAULT_CONFIG, 1, 10, 0.5) == expected
 
     def test_pure_push_has_no_crossover(self):
         assert crossover_push_rate(DEFAULT_CONFIG, 0, 10, 0.0) is None

@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from pullpush.core import _CDF_TAIL, poisson_pmf, sample_poisson_array
+from pullpush.core import _CDF_TAIL, _inversion_table, poisson_pmf, sample_poisson_array
 from pullpush.frame import FrameConfig, InfeasibleSplitError, split_for_q
 from pullpush.metrics import TrafficLoad, push_success_prob, query_success_prob
 from pullpush.simulate import (
@@ -166,6 +166,16 @@ class TestConservation:
         assert result.queries_served + result.queries_discarded == result.queries_total
         assert result.queries_served <= 4 * frames
         assert result.packets_success <= result.packets_total
+
+    def test_each_mean_builds_its_inversion_table_once(self):
+        # Four chunks draw from the same two means: two builds, six reuses.
+        load = TrafficLoad(300.0, 200.0)
+        _inversion_table.cache_clear()
+        _simulate_one(DEFAULT_CONFIG, load, 4, SimConfig(frames=4 * _CHUNK_FRAMES, seed=5), 0)
+        info = _inversion_table.cache_info()
+        assert (info.misses, info.hits) == (2, 6)
+        _, cdf = _inversion_table(load.mean_packets_per_frame(T_FRAME))
+        assert not cdf.flags.writeable  # a shared table cannot be altered by a caller
 
     def test_empty_chunk(self):
         successes = slot_successes(np.zeros(10, dtype=np.int64), 5, np.random.default_rng(0))
