@@ -50,6 +50,7 @@ DEFAULT_SEED = 1
 MAX_ROWS = 10**6
 MAX_CROSSOVER_SEARCHES = 10**4
 MAX_GUIDELINE_WORK = 4 * 10**6  # targets x q_max^2: the rate searches of one q cost O(q)
+MAX_CROSSOVER_WORK = 10**6  # searches x largest q: one crossover search costs O(q)
 
 # FrameConfig's fields by their name in config files and manifests (F for frame_slots).
 _CONFIG_FIELDS = {"F" if f.name == "frame_slots" else f.name: f for f in fields(FrameConfig)}
@@ -215,6 +216,9 @@ def _cmd_sweep(args: argparse.Namespace, config: FrameConfig) -> _Output:
     searches = len(args.ratio_list) * len(qs) * (len(qs) - 1) // 2 if args.crossovers else 0
     if len(args.q_list) * len(args.ratio_list) * steps > MAX_ROWS or searches > MAX_CROSSOVER_SEARCHES:
         raise ValueError(f"sweep exceeds {MAX_ROWS} rows or {MAX_CROSSOVER_SEARCHES} crossover searches")
+    if searches * qs[-1] > MAX_CROSSOVER_WORK:
+        raise ValueError(f"sweep exceeds {MAX_CROSSOVER_WORK} crossover searches x largest q: "
+                         f"{searches} searches, largest q {qs[-1]}")
     grid = np.linspace(lo, hi, steps)
     rows = [
         {"q": q, "ratio": ratio, "lambda_p": x, "p_s_weighted": p}

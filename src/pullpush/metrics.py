@@ -121,11 +121,6 @@ def push_success_curve(k_a: int, m):
     return (k_a * _exp(-m / k_a) - _exp(-m)) / (k_a - 1)
 
 
-def push_throughput_curve(k_a: int, m, t_frame_s: float):
-    """:func:`push_throughput`, bitwise, at a float or float64-array mean m, unchecked."""
-    return m / t_frame_s * _exp(-m / k_a)
-
-
 def push_success_prob(k_a: int, mean_packets: float) -> float:
     """Success probability averaged over a Poisson packet count.
 
@@ -141,7 +136,8 @@ def push_throughput(k_a: int, mean_packets: float, t_frame_s: float) -> float:
     """Successfully delivered packets per second: (m / T) e^{-m/k_a}."""
     _check_int("k_a", k_a, 1)
     _check_real("t_frame_s", t_frame_s, positive=True)
-    return push_throughput_curve(k_a, _check_real("mean", mean_packets), t_frame_s)
+    m = _check_real("mean", mean_packets)
+    return m / t_frame_s * math.exp(-m / k_a)
 
 
 def weighted_success_prob(

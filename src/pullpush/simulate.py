@@ -15,9 +15,9 @@ order, and each chunk of m frames takes exactly 3m uniforms in this order:
 m for the query batches its frames resolve, m for its packet counts (one
 uniform per Poisson variate, see :func:`pullpush.core.sample_poisson_array`)
 and m for its singleton counts (one per frame, see :func:`slot_successes`).
-Results are therefore bitwise reproducible from (seed, r) alone and
-independent of how replications are scheduled. ``STREAM_VERSION`` names
-this order; it changes whenever a fixed seed would give other draws.
+Results are bitwise reproducible from (seed, r) alone; :func:`simulate` runs
+the replications in order and merges them in that order. ``STREAM_VERSION``
+names the draw order; it changes whenever a fixed seed gives other draws.
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ _CHUNK_FRAMES = 1 << 15  # fixed chunk so memory stays bounded and streams stay 
 _LAW_CACHE_SIZE = 8  # frame layouts (k_a values) whose singleton law stays built
 
 STREAM_VERSION = 2  # order of random draws documented above
-
-METRIC_KEYS = ("p_s_query", "p_s_push", "throughput_push", "n_served_mean")
 
 
 @dataclass(frozen=True)
@@ -203,7 +201,6 @@ def slot_successes(packet_counts: np.ndarray, k_a: int, rng: np.random.Generator
 
 @dataclass
 class _RepStats:
-    replication: int
     frames: int
     queries_total: int = 0
     queries_served: int = 0
@@ -237,7 +234,7 @@ def _simulate_one(
     mean_p = load.mean_packets_per_frame(t_frame)
     frames = sim.frames
     warmup = sim.warmup_frames
-    stats = _RepStats(replication=replication, frames=frames)
+    stats = _RepStats(frames=frames)
 
     # Query pipeline: the batch arriving in frame t is resolved in frame
     # t+1, so observed frame j resolves the batch of the frame before it,
@@ -274,9 +271,8 @@ def _sample_half_width(total: float, sumsq: float, n: int) -> float:
 
 
 def _merge(stats: list[_RepStats], t_frame_s: float) -> SimResult:
-    stats = sorted(stats, key=lambda s: s.replication)  # order-insensitive merge
-    sums = (sum(getattr(s, field.name) for s in stats) for field in fields(_RepStats)[1:])
-    total = _RepStats(-1, *sums)  # the merged record belongs to no single replication
+    sums = (sum(getattr(s, field.name) for s in stats) for field in fields(_RepStats))
+    total = _RepStats(*sums)
     estimates = total.estimates(t_frame_s)
     zero_query = total.queries_total == 0
 
@@ -299,7 +295,7 @@ def _merge(stats: list[_RepStats], t_frame_s: float) -> SimResult:
         per_rep = [s.estimates(t_frame_s) for s in stats]
         n_reps = len(stats)
         hw = {}
-        for key in METRIC_KEYS:
+        for key in estimates:
             values = np.array([e[key] for e in per_rep])
             hw[key] = _Z95 * float(values.std(ddof=1)) / math.sqrt(n_reps)
 

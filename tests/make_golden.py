@@ -52,7 +52,8 @@ _INPUTS = {
     "not_json.json": "{F: 61}",
 }
 # PULLPUSH_SEED per case; every other case runs with it unset.
-_ENV = {"simulate_env_seed": "777", "simulate_env_seed_negative": "-1"}
+_ENV = {"simulate_env_seed": "777", "simulate_env_seed_negative": "-1",
+        "simulate_env_seed_not_int": "abc"}
 
 CASES: dict[str, list[str]] = {
     # The analytic commands of the README, as written and in each output form.
@@ -168,6 +169,8 @@ CASES: dict[str, list[str]] = {
                           "--lambda-p-range", "1:10:3"],
     "reject_range_parts": ["sweep", "--q-list", "1", "--ratio-list", "1", "--lambda-p-range", "0:1"],
     "reject_range_order": ["sweep", "--q-list", "1", "--ratio-list", "1", "--lambda-p-range", "5:1:3"],
+    "reject_range_not_number": ["sweep", "--q-list", "1", "--ratio-list", "1",
+                                "--lambda-p-range", "a:b:3"],
     "reject_format": ["optimize", *_LOAD, "--format", "xml"],
     "reject_missing_flag": ["analyze", "--lambda-q", "250", "--q", "1"],
     "reject_frame_slots": ["analyze", "--frame-slots", "x", *_LOAD, "--q", "1"],
@@ -182,6 +185,7 @@ CASES: dict[str, list[str]] = {
                                     "--lambda-p-list", "100,200", "--frames", "1000",
                                     "--seed", "18446744073709551615"],
     "simulate_env_seed_negative": ["simulate", *_SIM],
+    "simulate_env_seed_not_int": ["simulate", *_SIM],
     # The parser itself: version and help of every command.
     "version": ["--version"],
     "help": ["--help"],

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
 import csv
+import dataclasses
 import importlib
 import json
 import math
@@ -9,6 +10,7 @@ import tracemalloc
 import pytest
 
 import pullpush.cli as cli
+from pullpush import FrameConfig, SimConfig
 from pullpush.cli import main
 
 # The package re-exports the function simulate under the submodule's name.
@@ -277,6 +279,24 @@ class TestSweep:
         assert code == 2
         assert str(cli.MAX_CROSSOVER_SEARCHES) in err
 
+    def test_too_much_crossover_work_exits_2_before_any_row(self, capsys, monkeypatch):
+        # At q = 19999 one search takes 0.1-0.17 s: 105 searches x 19999 exceed the work bound.
+        calls = []
+        monkeypatch.setattr(cli, "crossover_push_rate", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(cli, "weighted_success_sweep", lambda *a: calls.append(a))
+        argv = ["sweep", "--frame-slots", "100001", "--q-list", ",".join(map(str, range(19985, 20000))),
+                "--ratio-list", "1", "--lambda-p-range", "1:10:1", "--crossovers"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and calls == []
+        assert err.startswith("error: ") and str(cli.MAX_CROSSOVER_WORK) in err
+        assert err.count("\n") == 1
+
+    def test_one_search_at_a_large_frame_runs(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--frame-slots", "100001", "--q-list", "1,19999",
+                           "--ratio-list", "1", "--lambda-p-range", "1:10:1", "--crossovers")
+        assert code == 0
+        assert len(json.loads(out)["crossovers"]) == 1
+
     @pytest.mark.parametrize("ceiling", ["inf", "nan", "0", "-5"])
     @pytest.mark.parametrize("crossovers", [[], ["--crossovers"]])
     def test_ceiling_must_be_finite_and_positive(self, capsys, ceiling, crossovers):
@@ -426,6 +446,25 @@ class TestValidate:
             "validate", "--q-list", "2", "--lambda-q-list", "1",
             "--lambda-p-list", "1", "--frames", "10", "--seed", "1", "--strict",
         )
+        assert code == 4
+
+    def test_query_lower_bound_violation_is_flagged(self, capsys, monkeypatch):
+        # Lowering every query estimate by 0.5 puts it ~200 half-widths below the closed form.
+        real = simulate_module.simulate
+
+        def lowered(*args):
+            result = real(*args)
+            return dataclasses.replace(result, p_s_query_hat=result.p_s_query_hat - 0.5)
+
+        monkeypatch.setattr(simulate_module, "simulate", lowered)
+        rows, summary = simulate_module.validate_grid(
+            FrameConfig(), [10], [250.0], [500.0], SimConfig(frames=2000, seed=3)
+        )
+        assert rows[0].flags == ("query_lower_bound_violation",)
+        assert summary["flags"] == 1
+        assert summary["max_lower_bound_violation_query"] == pytest.approx(0.46, abs=0.01)
+        code, _, _ = run(capsys, "validate", "--q-list", "10", "--lambda-q-list", "250",
+                         "--lambda-p-list", "500", "--frames", "2000", "--seed", "3", "--strict")
         assert code == 4
 
 

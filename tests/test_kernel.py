@@ -17,14 +17,11 @@ from pullpush.metrics import (
     evaluate_metrics,
     push_success_curve,
     push_success_prob,
-    push_throughput,
-    push_throughput_curve,
     weighted_success_sweep,
 )
 
 CONFIG = FrameConfig()
 Q_MAX = q_max(CONFIG)
-T_FRAME = CONFIG.t_frame_s
 K_AS = (1, 2, 96)
 
 loads = st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=40)
@@ -54,9 +51,6 @@ def test_one_pass_gives_every_server_count(load):
 def test_push_curves_over_an_array_are_the_scalar_forms(values, k_a):
     m = np.array(values)
     assert bits(push_success_curve(k_a, m)) == bits([push_success_prob(k_a, x) for x in values])
-    assert bits(push_throughput_curve(k_a, m, T_FRAME)) == bits(
-        [push_throughput(k_a, x, T_FRAME) for x in values]
-    )
 
 
 def test_push_curves_on_a_fixed_large_array():
@@ -65,9 +59,6 @@ def test_push_curves_on_a_fixed_large_array():
     m = np.random.default_rng(7).uniform(0.0, 200.0, 10_000)
     for k_a in K_AS:
         assert bits(push_success_curve(k_a, m)) == bits([push_success_prob(k_a, x) for x in m.tolist()])
-        assert bits(push_throughput_curve(k_a, m, T_FRAME)) == bits(
-            [push_throughput(k_a, x, T_FRAME) for x in m.tolist()]
-        )
 
 
 @given(

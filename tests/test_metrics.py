@@ -248,6 +248,8 @@ class TestWeights:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             Weights(-0.1, 1.1)
+        with pytest.raises(ValueError, match=r"weights must lie in \[0, 1\], got \(1\.5, 0\.0\)"):
+            Weights(1.5, 0.0)
 
 
 class TestWeightedSuccess:

@@ -62,14 +62,6 @@ class TestDeterminism:
         second = _simulate_one(DEFAULT_CONFIG, load, 10, sim, 1)
         assert first.packets_total != second.packets_total or first.queries_total != second.queries_total
 
-    def test_replication_merge_is_order_insensitive(self):
-        load = TrafficLoad(100.0, 400.0)
-        sim = SimConfig(frames=1500, seed=11, replications=3)
-        stats = [_simulate_one(DEFAULT_CONFIG, load, 5, sim, r) for r in range(3)]
-        forward = _merge(stats, T_FRAME)
-        shuffled = _merge([stats[2], stats[0], stats[1]], T_FRAME)
-        assert forward == shuffled
-
     def test_merged_counts_equal_sum_of_parts(self):
         load = TrafficLoad(100.0, 400.0)
         sim = SimConfig(frames=1500, seed=11, replications=3)
