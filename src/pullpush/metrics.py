@@ -186,15 +186,18 @@ def weighted_success_sweep(config: FrameConfig, q: int, ratio: float, lambda_p):
     """``evaluate_metrics(config, TrafficLoad(ratio * x, x), q).p_s_weighted``,
     bitwise, at a float x or at each x of a nondecreasing float64 array ``lambda_p``.
 
-    The rates and their traffic-fair weights are monotone in x, so they are
-    valid at every x iff at the last one, the only point checked; a float x is its own last point.
+    The rates, their per-frame means and their traffic-fair weights are monotone in x, so
+    they are valid at every x iff at the last one, the only point checked; a float x is its
+    own last point.
     """
     k_a = split_for_q(config, q).k_a
     is_array = isinstance(lambda_p, np.ndarray)
     top = float(lambda_p[-1]) if is_array else lambda_p
     w = Weights.traffic_fair(TrafficLoad(ratio * top, top))
-    lambda_q = ratio * lambda_p
     t_frame = config.t_frame_s
+    _check_real("mean", ratio * top * t_frame)
+    _check_real("mean", top * t_frame)
+    lambda_q = ratio * lambda_p
     p_query = query_success_curve(q, lambda_q * t_frame)
     p_push = push_success_curve(k_a, lambda_p * t_frame)
     if not is_array:

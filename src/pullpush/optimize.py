@@ -11,6 +11,7 @@ and bisection use one evaluator, :func:`weighted_success_sweep`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -74,9 +75,10 @@ def optimal_q(
 ) -> OptimizationResult:
     """Exhaustive scan of q in [0, q_max]; ties go to the smallest q."""
     w = Weights.traffic_fair(load) if weights is None else weights
-    mean_p = load.mean_packets_per_frame(config.t_frame_s)
+    mean_p = _check_real("mean", load.mean_packets_per_frame(config.t_frame_s))
+    mean_q = _check_real("mean", load.mean_queries_per_frame(config.t_frame_s))
     table = []
-    for q, blocking in enumerate(erlang_b_steps(q_max(config), load.mean_queries_per_frame(config.t_frame_s))):
+    for q, blocking in enumerate(erlang_b_steps(q_max(config), mean_q)):
         k_a = split_for_q(config, q).k_a
         p_query = 1.0 - blocking
         p_push = push_success_prob(k_a, mean_p)
@@ -154,6 +156,9 @@ def crossover_push_rate(
     held proportional and traffic-fair weights; returns the first sign
     change of weighted(q_low) - weighted(q_high), refined by bisection to
     relative width 1e-6, or None when one choice dominates the whole range.
+    A tie is not a sign change: a gap of exactly 0.0, as where both choices'
+    weighted success underflows to 0, is skipped in the scan, and the
+    bisection keeps only a strict sign at its lower end.
     The default ceiling puts the mean packet count at 3x the access slots
     of q_low.
     """
@@ -164,23 +169,18 @@ def crossover_push_rate(
     ceiling = 3.0 * k_a_low / config.t_frame_s if lambda_p_ceiling is None else lambda_p_ceiling
     ceiling = _check_real("lambda_p_ceiling", ceiling, positive=True)
     grid = np.linspace(ceiling / _CROSSOVER_GRID, ceiling, _CROSSOVER_GRID)
-    values = (weighted_success_sweep(config, q_low, load_ratio, grid)
-              - weighted_success_sweep(config, q_high, load_ratio, grid)).tolist()
-    for i in range(len(grid) - 1):
-        if values[i] == 0.0:
-            return float(grid[i])
-        if values[i] * values[i + 1] < 0.0:
-            break
-    else:
+    gaps = (weighted_success_sweep(config, q_low, load_ratio, grid)
+            - weighted_success_sweep(config, q_high, load_ratio, grid)).tolist()
+    signed = [(x, math.copysign(1.0, g)) for x, g in zip(grid.tolist(), gaps) if g != 0.0]
+    bracket = next(((lo, hi, s) for (lo, s), (hi, t) in zip(signed, signed[1:]) if s != t), None)
+    if bracket is None:
         return None
-    lo, hi, lo_positive = float(grid[i]), float(grid[i + 1]), values[i] > 0.0
+    lo, hi, sign = bracket
     while hi - lo > _CROSSOVER_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         g = (weighted_success_sweep(config, q_low, load_ratio, mid)
              - weighted_success_sweep(config, q_high, load_ratio, mid))
-        if g == 0.0:
-            return mid
-        if (g > 0.0) == lo_positive:
+        if sign * g > 0.0:
             lo = mid
         else:
             hi = mid

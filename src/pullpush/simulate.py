@@ -275,29 +275,15 @@ def _merge(stats: list[_RepStats], t_frame_s: float) -> SimResult:
     total = _RepStats(*sums)
     estimates = total.estimates(t_frame_s)
     zero_query = total.queries_total == 0
-
-    if len(stats) == 1:
-        p_query = estimates["p_s_query"]
-        hw = {
-            "p_s_query": (
-                _Z95 * math.sqrt(p_query * (1.0 - p_query) / total.queries_total)
-                if not zero_query
-                else 0.0
-            ),
-            "p_s_push": _sample_half_width(total.push_w_sum, total.push_w_sumsq, total.frames),
-            "throughput_push": _sample_half_width(
-                float(total.packets_success), total.succ_sumsq, total.frames
-            )
-            / t_frame_s,
-            "n_served_mean": _sample_half_width(float(total.queries_served), total.served_sumsq, total.frames),
-        }
-    else:
-        per_rep = [s.estimates(t_frame_s) for s in stats]
-        n_reps = len(stats)
-        hw = {}
-        for key in estimates:
-            values = np.array([e[key] for e in per_rep])
-            hw[key] = _Z95 * float(values.std(ddof=1)) / math.sqrt(n_reps)
+    p_query = estimates["p_s_query"]
+    hw = {
+        "p_s_query": 0.0 if zero_query else _Z95 * math.sqrt(p_query * (1.0 - p_query) / total.queries_total),
+        "p_s_push": _sample_half_width(total.push_w_sum, total.push_w_sumsq, total.frames),
+        "throughput_push": (
+            _sample_half_width(float(total.packets_success), total.succ_sumsq, total.frames) / t_frame_s
+        ),
+        "n_served_mean": _sample_half_width(float(total.queries_served), total.served_sumsq, total.frames),
+    }
 
     return SimResult(
         **{f"{key}_hat": value for key, value in estimates.items()},
@@ -319,8 +305,10 @@ def simulate(config: FrameConfig, load: TrafficLoad, q: int, sim: SimConfig) -> 
     (1 if no packets else successes/packets) for push success, which is
     the sample analogue of the analytic average over the packet count;
     total successes/(frames * T_frame) for throughput. Half-widths are
-    normal-approximation 95% intervals over per-frame samples, or over
-    replication means when replications > 1.
+    normal-approximation 95% intervals over the per-frame samples pooled
+    across replications: frames are independent within and across
+    replications, so R replications of F frames give the interval of one
+    run of R * F frames.
     """
     stats = [_simulate_one(config, load, q, sim, r) for r in range(sim.replications)]
     return _merge(stats, config.t_frame_s)

@@ -5,7 +5,11 @@ import dataclasses
 import importlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -252,6 +256,17 @@ class TestSweep:
         assert entry["q_low"] == 1 and entry["q_high"] == 10
         assert entry["lambda_p_cross"] > 0.0
 
+    def test_a_tie_is_not_a_crossover(self, capsys):
+        # Far above the frame's capacity both choices' weighted success
+        # underflows to 0.0; that tie is not reported as a crossover.
+        code, out, _ = run(
+            capsys,
+            "sweep", "--q-list", "1,10", "--ratio-list", "1",
+            "--lambda-p-range", "1:10:3", "--crossovers", "--lambda-p-ceiling", "1e300",
+        )
+        assert code == 0
+        assert json.loads(out)["crossovers"][0]["lambda_p_cross"] is None
+
     def test_bad_range_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["sweep", "--q-list", "1", "--ratio-list", "1", "--lambda-p-range", "10:5:3"])
@@ -487,8 +502,8 @@ class TestOutputPaths:
 
 class TestLibraryMessages:
     """Rejections by the library's input checks that the golden record does
-    not replay: an overflowing or vanishing frame time, a negative q, a
-    negative ratio on an all-zero sweep."""
+    not replay: an overflowing or vanishing frame time, a per-frame mean that
+    overflows, a negative q, a negative ratio on an all-zero sweep."""
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -505,6 +520,12 @@ class TestLibraryMessages:
              "load_ratio must be finite and >= 0, got -1.0"),
             (["sweep", "--tau-s", "5e-324", "--q-list", "1,5", "--ratio-list", "0",
               "--lambda-p-range", "0:0:3", "--crossovers"], "lambda_p_ceiling must be finite and > 0, got inf"),
+            (["optimize", "--lambda-q", "1e307", "--lambda-p", "1", "--tau-s", "1"],
+             "mean must be finite and >= 0, got inf"),
+            (["sweep", "--q-list", "1", "--ratio-list", "1", "--lambda-p-range", "0:1e307:3", "--tau-s", "1"],
+             "mean must be finite and >= 0, got inf"),
+            (["sweep", "--q-list", "1,2", "--ratio-list", "1", "--lambda-p-range", "0:10:3", "--crossovers",
+              "--lambda-p-ceiling", "1e307", "--tau-s", "1"], "mean must be finite and >= 0, got inf"),
         ],
     )
     def test_message_is_stable(self, capsys, argv, message):
@@ -593,3 +614,22 @@ class TestReproducibility:
         assert float(value) == pytest.approx(0.844061324, abs=1e-8)
         digits = value.replace(".", "").lstrip("0")
         assert len(digits) == 9
+
+
+class TestModuleEntryPoint:
+    """``python -m pullpush.cli`` in a fresh interpreter, importing the same
+    package as these tests."""
+
+    def run_module(self, *argv):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        return subprocess.run([sys.executable, "-m", "pullpush.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    def test_version(self):
+        done = self.run_module("--version")
+        assert (done.returncode, done.stdout, done.stderr) == (0, "pullpush 0.1.0\n", "")
+
+    def test_usage_error_exits_2(self):
+        done = self.run_module("analyze", "--q", "1")
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("usage: pullpush analyze")

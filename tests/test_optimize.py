@@ -221,6 +221,15 @@ class TestCrossover:
     def test_pure_push_has_no_crossover(self):
         assert crossover_push_rate(DEFAULT_CONFIG, 0, 10, 0.0) is None
 
+    @pytest.mark.parametrize(
+        "q_low, q_high, ceiling",
+        [(0, 1, 1e9), (16, 19, 729965.9874665294)],
+    )
+    def test_a_tie_is_not_a_crossover(self, q_low, q_high, ceiling):
+        # Pure push: q_low keeps more access slots, so the gap is >= 0 and only
+        # ties at 0.0 where both push successes underflow; no sign change.
+        assert crossover_push_rate(DEFAULT_CONFIG, q_low, q_high, 0.0, ceiling) is None
+
     def test_invalid_pair_rejected(self):
         with pytest.raises(ValueError):
             crossover_push_rate(DEFAULT_CONFIG, 10, 1, 0.5)

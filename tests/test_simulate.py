@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import astuple
 
 import mpmath
 import numpy as np
@@ -10,12 +11,13 @@ import pytest
 
 from pullpush.core import _CDF_TAIL, _inversion_table, poisson_pmf, sample_poisson_array
 from pullpush.frame import FrameConfig, InfeasibleSplitError, split_for_q
-from pullpush.metrics import TrafficLoad, push_success_prob, query_success_prob
+from pullpush.metrics import TrafficLoad, push_success_prob, push_throughput, query_success_prob
 from pullpush.simulate import (
     _CHUNK_FRAMES,
     STREAM_VERSION,
     SimConfig,
     _merge,
+    _RepStats,
     _simulate_one,
     _singleton_cap,
     _singleton_law,
@@ -359,6 +361,27 @@ class TestHalfWidths:
         result = simulate(DEFAULT_CONFIG, TrafficLoad(250.0, 500.0), 10, sim)
         assert result.frames_observed == 8000
         assert all(v >= 0.0 for v in result.half_width_95.values())
+        # The interval is that of one run over the pooled frames.
+        stats = [_simulate_one(DEFAULT_CONFIG, TrafficLoad(250.0, 500.0), 10, sim, r) for r in range(4)]
+        pooled = _RepStats(*map(sum, zip(*map(astuple, stats))))
+        assert _merge(stats, T_FRAME) == _merge([pooled], T_FRAME) == result
+
+    def test_replicated_push_intervals_cover(self):
+        # 200 seeds of 3 replications: the share of 95% intervals that cover the
+        # analytic push values lies in a band around 0.95 (binomial sd ~0.015).
+        q, load = 10, TrafficLoad(250.0, 500.0)
+        k_a = split_for_q(DEFAULT_CONFIG, q).k_a
+        mean_p = load.lambda_p * T_FRAME
+        truth = {
+            "p_s_push": push_success_prob(k_a, mean_p),
+            "throughput_push": push_throughput(k_a, mean_p, T_FRAME),
+        }
+        hits = dict.fromkeys(truth, 0)
+        for seed in range(200):
+            result = simulate(DEFAULT_CONFIG, load, q, SimConfig(frames=2000, seed=seed, replications=3))
+            for key, value in truth.items():
+                hits[key] += abs(getattr(result, f"{key}_hat") - value) <= result.half_width_95[key]
+        assert all(0.90 <= count / 200 <= 0.99 for count in hits.values()), hits
 
 
 class TestValidateGrid:
