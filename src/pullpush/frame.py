@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import _check_int, _check_real
+from .core import _FLOAT_MAX, _check_int, _check_real
 
 
 class InfeasibleSplitError(ValueError):
@@ -43,6 +43,13 @@ class FrameConfig:
                 f"frame_slots={self.frame_slots} too small: need at least "
                 f"k_c + k_w + k_t + 1 = {needed} slots for one query service "
                 f"and one access slot"
+            )
+        # The searches start from rates up to 3 * frame_slots / t_frame_s.
+        t_frame = self.t_frame_s
+        if not (t_frame <= _FLOAT_MAX and 3.0 * self.frame_slots / t_frame <= _FLOAT_MAX):
+            raise ValueError(
+                f"tau_s must keep tau_s * frame_slots and 3 * frame_slots / (tau_s * frame_slots) "
+                f"finite at frame_slots={self.frame_slots}, got {self.tau_s!r}"
             )
 
     @property

@@ -15,6 +15,9 @@ order, and each chunk of m frames takes exactly 3m uniforms in this order:
 m for the query batches its frames resolve, m for its packet counts (one
 uniform per Poisson variate, see :func:`pullpush.core.sample_poisson_array`)
 and m for its singleton counts (one per frame, see :func:`slot_successes`).
+Both samplers invert a tabled CDF by indexed search
+(:func:`pullpush.core._invert_guided`): each uniform maps to the first
+table entry above it, as a bisection of the same table would find.
 Results are bitwise reproducible from (seed, r) alone; :func:`simulate` runs
 the replications in order and merges them in that order. ``STREAM_VERSION``
 names the draw order; it changes whenever a fixed seed gives other draws.
@@ -29,13 +32,26 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import _CDF_TAIL, _check_int, _check_poisson_mean, sample_poisson_array
+from .core import (
+    _CDF_TAIL,
+    _check_int,
+    _check_poisson_mean,
+    _fill_guide,
+    _guide_bins,
+    _invert_guided,
+    _poisson_window,
+    sample_poisson_array,
+)
 from .frame import FrameConfig, split_for_q
 from .metrics import MetricsReport, TrafficLoad, evaluate_metrics
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 _CHUNK_FRAMES = 1 << 15  # fixed chunk so memory stays bounded and streams stay aligned
 _LAW_CACHE_SIZE = 8  # frame layouts (k_a values) whose singleton law stays built
+# Largest singleton law a simulation may build: the bytes of its rows and guide,
+# and its build steps, min(n, k_a)^2 for row n (10^9 take ~6 s at k_a = 1000).
+_LAW_MAX_BYTES = 1 << 28
+_LAW_MAX_STEPS = 10**9
 
 STREAM_VERSION = 2  # order of random draws documented above
 
@@ -117,13 +133,18 @@ class _SingletonLaw:
     """Exact law of the singleton count S of n packets in k_a slots.
 
     ``rows[n, s]`` is P(S <= s | n) for s = 0 .. min(n, k_a), padded with
-    ones to a common width. Rows are built by adding one packet at a time
-    to the joint law of (occupied slots o, singleton slots s): a packet
-    lands in an empty slot with probability (k_a - o)/k_a, giving
-    (o + 1, s + 1); in a singleton slot with probability s/k_a, giving
-    (o, s - 1); otherwise (o, s) stays. Only the reachable states
-    o <= min(n, k_a), s <= o are kept, and rows are built on demand up to
-    the largest n asked for, never beyond ``n_cap``.
+    ones to a common width, and ``guide[n]`` is row n's guide for
+    :func:`pullpush.core._invert_guided`. Rows are built by adding one
+    packet at a time to the joint law of (occupied slots o, singleton
+    slots s): a packet lands in an empty slot with probability
+    (k_a - o)/k_a, giving (o + 1, s + 1); in a singleton slot with
+    probability s/k_a, giving (o, s - 1); otherwise (o, s) stays. Only the
+    reachable states o <= min(n, k_a), s <= o are kept, and rows are built
+    on demand up to the largest n asked for, never beyond ``n_cap``.
+    ``rows`` and ``guide`` are views of buffers with room for twice the
+    rows asked for, up to ``n_cap``, whose pages stay untouched until their
+    rows are built: the law moves to new buffers only when the rows asked
+    for more than double, or while n < k_a, when the rows widen.
     """
 
     def __init__(self, k_a: int):
@@ -131,19 +152,28 @@ class _SingletonLaw:
         self.n_cap = _singleton_cap(k_a)
         self.joint = np.ones((1, 1))  # P(o, s) after len(rows) - 1 packets
         self.rows = np.ones((1, 1))  # n = 0: S = 0
+        self.guide = np.zeros((1, 2), dtype=np.uint8)
 
     def rows_through(self, n_max: int) -> np.ndarray:
-        """The CDF table, built through row ``n_max`` (at most ``n_cap``)."""
+        """The CDF table, built through row ``n_max`` (at most ``n_cap``),
+        with ``guide`` built as far."""
         built = len(self.rows) - 1
         if n_max <= built:
             return self.rows
         k, joint = self.k_a, self.joint
         top = min(n_max, k)
+        table, guide, unguided = self.rows.base, self.guide.base, built + 1
+        if table is None or n_max >= len(table) or top >= table.shape[1]:
+            capacity = max(n_max, min(2 * n_max, self.n_cap)) + 1
+            table = np.empty((capacity, top + 1))
+            table[: built + 1, : self.rows.shape[1]] = self.rows
+            table[: built + 1, self.rows.shape[1] :] = 1.0
+            guide = np.empty((capacity, _guide_bins(top + 1) + 1), dtype=np.min_scalar_type(top))
+            unguided = 0  # the bins may have changed
         o = np.arange(top + 1)[:, None]
         s = np.arange(top + 1)
         stay, single, empty = (o - s) / k, s / k, (k - o) / k
-        block = np.ones((n_max - built, top + 1))
-        for row in block:
+        for row in table[built + 1 : n_max + 1]:
             m = len(joint) - 1  # min(n, k_a) before this packet
             size = min(m + 1, k) + 1
             out = np.zeros((size, size))
@@ -152,12 +182,9 @@ class _SingletonLaw:
             out[1:, 1:] += joint[: size - 1, : size - 1] * empty[: size - 1]
             joint = out
             row[:size] = np.minimum(np.cumsum(joint.sum(axis=0)), 1.0)
-            row[size - 1] = 1.0  # u < 1 never inverts past the largest possible S
-        self.joint = joint
-        old = self.rows
-        if old.shape[1] <= top:
-            old = np.hstack([old, np.ones((len(old), top + 1 - old.shape[1]))])
-        self.rows = np.vstack([old, block])
+            row[size - 1 :] = 1.0  # u < 1 never inverts past the largest possible S
+        _fill_guide(table[unguided : n_max + 1], guide[unguided : n_max + 1])
+        self.joint, self.rows, self.guide = joint, table[: n_max + 1], guide[: n_max + 1]
         return self.rows
 
 
@@ -167,36 +194,44 @@ def _singleton_law(k_a: int) -> _SingletonLaw:
     return _SingletonLaw(k_a)
 
 
-def _invert_rows(table: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per i, the smallest s with u[i] < table[rows[i], s].
+def _singleton_law_cost(k_a: int, mean_packets: float) -> tuple[int, int, int]:
+    """(rows, bytes, build steps) of the singleton law that draws at this
+    per-frame packet mean may need: packet counts reach at most the top of
+    the Poisson inversion window, and rows never pass ``n_cap``."""
+    rows = min(_singleton_cap(k_a), _poisson_window(mean_packets)[1])
+    top = min(rows, k_a)
+    guide_bytes = (_guide_bins(top + 1) + 1) * np.min_scalar_type(top).itemsize
+    steps = top * (top + 1) * (2 * top + 1) // 6 + (rows - top) * top * top
+    return rows, rows * (8 * (top + 1) + guide_bytes), steps
 
-    Bisection over all rows at once; every row is a CDF ending at 1 > u.
-    """
-    width = table.shape[1]
-    flat = table.ravel()
-    base = rows * width
-    lo = np.zeros(len(u), dtype=np.int64)  # the answer lies in [lo, hi]
-    hi = np.full(len(u), width - 1, dtype=np.int64)
-    for _ in range((width - 1).bit_length()):
-        mid = (lo + hi) >> 1
-        right = flat[base + mid] <= u
-        lo = np.where(right, mid + 1, lo)
-        hi = np.where(right, hi, mid)
-    return lo
+
+def _check_simulation(config: FrameConfig, load: TrafficLoad, q: int) -> None:
+    """Reject, before any draw, what a simulation cannot run: an infeasible q,
+    a per-frame mean the sampler rejects, or a singleton law over budget."""
+    k_a = split_for_q(config, q).k_a
+    _check_poisson_mean(load.mean_queries_per_frame(config.t_frame_s))
+    mean_p = _check_poisson_mean(load.mean_packets_per_frame(config.t_frame_s))
+    rows, size, steps = _singleton_law_cost(k_a, mean_p)
+    if size > _LAW_MAX_BYTES or steps > _LAW_MAX_STEPS:
+        raise ValueError(
+            f"lambda_p={load.lambda_p!r} at k_a={k_a} needs a singleton law of {rows} rows, "
+            f"{size} bytes and {steps} build steps; the budget is {_LAW_MAX_BYTES} bytes "
+            f"and {_LAW_MAX_STEPS} steps"
+        )
 
 
 def slot_successes(packet_counts: np.ndarray, k_a: int, rng: np.random.Generator) -> np.ndarray:
     """Per-frame count of packets that landed alone in their slot.
 
     Each frame's singleton count is drawn from its exact law given the
-    frame's packet count n (clamped at the law's ``n_cap``), by inversion
-    of one uniform per frame: ``rng.random(len(packet_counts))``.
+    frame's packet count n (clamped at the law's ``n_cap``), by indexed
+    search of one uniform per frame: ``rng.random(len(packet_counts))``.
     """
     law = _singleton_law(_check_int("k_a", k_a, 1))
     counts = np.asarray(packet_counts, dtype=np.int64)
-    u = rng.random(len(counts))
     n = np.minimum(counts, law.n_cap)
-    return _invert_rows(law.rows_through(int(n.max(initial=0))), n, u)
+    table = law.rows_through(int(n.max(initial=0)))  # grows law.guide as far
+    return _invert_guided(table, law.guide, rng.random(len(counts)), n)
 
 
 @dataclass
@@ -308,8 +343,10 @@ def simulate(config: FrameConfig, load: TrafficLoad, q: int, sim: SimConfig) -> 
     normal-approximation 95% intervals over the per-frame samples pooled
     across replications: frames are independent within and across
     replications, so R replications of F frames give the interval of one
-    run of R * F frames.
+    run of R * F frames. A load whose singleton law would pass
+    ``_LAW_MAX_BYTES`` or ``_LAW_MAX_STEPS`` is rejected before any draw.
     """
+    _check_simulation(config, load, q)
     stats = [_simulate_one(config, load, q, sim, r) for r in range(sim.replications)]
     return _merge(stats, config.t_frame_s)
 
@@ -325,11 +362,11 @@ def validate_grid(
 
     Grid point i runs with seed ``sim.seed + i`` so each row is independent
     and individually reproducible with :func:`simulate`. Every point's load,
-    seed, closed forms and per-frame sampler means are checked before the
-    first simulation runs. A push metric is flagged when |empirical -
-    analytic| exceeds 4 half-widths; the query metric only when empirical
-    falls more than 4 half-widths BELOW the analytic value, which is a lower
-    bound of the finite-population truth.
+    seed, closed forms, per-frame sampler means and singleton-law budget
+    are checked before the first simulation runs. A push metric is flagged
+    when |empirical - analytic| exceeds 4 half-widths; the query metric only
+    when empirical falls more than 4 half-widths BELOW the analytic value,
+    which is a lower bound of the finite-population truth.
     """
     if not (q_list and lambda_q_list and lambda_p_list):
         raise ValueError("q_list, lambda_q_list and lambda_p_list must be nonempty")
@@ -340,9 +377,8 @@ def validate_grid(
         for lam_p in lambda_p_list
     ]
     analytics = [evaluate_metrics(config, load, q) for q, load in points]
-    for _, load in points:
-        _check_poisson_mean(load.mean_queries_per_frame(config.t_frame_s))
-        _check_poisson_mean(load.mean_packets_per_frame(config.t_frame_s))
+    for q, load in points:
+        _check_simulation(config, load, q)
     sims = [replace(sim, seed=sim.seed + index) for index in range(len(points))]
     rows = []
     for (q, load), analytic, point_sim in zip(points, analytics, sims):

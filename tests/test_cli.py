@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -500,6 +501,10 @@ class TestOutputPaths:
         assert list(tmp_path.iterdir()) == []
 
 
+TAU_S_REJECTED = ("config: tau_s must keep tau_s * frame_slots and 3 * frame_slots / (tau_s * frame_slots) "
+                  "finite at frame_slots=101, got ")
+
+
 class TestLibraryMessages:
     """Rejections by the library's input checks that the golden record does
     not replay: an overflowing or vanishing frame time, a per-frame mean that
@@ -509,23 +514,29 @@ class TestLibraryMessages:
         "argv, message",
         [
             (["analyze", "--tau-s", "1e307", "--lambda-q", "250", "--lambda-p", "500", "--q", "5"],
-             "mean must be finite and >= 0, got inf"),
+             TAU_S_REJECTED + "1e+307"),
             (["optimize", "--tau-s", "1e307", "--lambda-q", "0", "--lambda-p", "500"],
-             "mean must be finite and >= 0, got inf"),
+             TAU_S_REJECTED + "1e+307"),
             (["simulate", "--tau-s", "1e307", "--lambda-q", "250", "--lambda-p", "500", "--q", "5",
-              "--frames", "50"], "mean must be finite and >= 0, got inf"),
+              "--frames", "50"], TAU_S_REJECTED + "1e+307"),
             (["sweep", "--q-list", "-1", "--ratio-list", "1", "--lambda-p-range", "0:100:3"],
              "q must be a nonnegative integer, got -1"),
             (["sweep", "--q-list", "1,5", "--ratio-list", "-1", "--lambda-p-range", "0:0:3", "--crossovers"],
              "load_ratio must be finite and >= 0, got -1.0"),
             (["sweep", "--tau-s", "5e-324", "--q-list", "1,5", "--ratio-list", "0",
-              "--lambda-p-range", "0:0:3", "--crossovers"], "lambda_p_ceiling must be finite and > 0, got inf"),
+              "--lambda-p-range", "0:0:3", "--crossovers"], TAU_S_REJECTED + "5e-324"),
             (["optimize", "--lambda-q", "1e307", "--lambda-p", "1", "--tau-s", "1"],
              "mean must be finite and >= 0, got inf"),
             (["sweep", "--q-list", "1", "--ratio-list", "1", "--lambda-p-range", "0:1e307:3", "--tau-s", "1"],
              "mean must be finite and >= 0, got inf"),
             (["sweep", "--q-list", "1,2", "--ratio-list", "1", "--lambda-p-range", "0:10:3", "--crossovers",
               "--lambda-p-ceiling", "1e307", "--tau-s", "1"], "mean must be finite and >= 0, got inf"),
+            (["analyze", "--tau-s", "1e307", "--lambda-q", "0", "--lambda-p", "0", "--q", "1"],
+             TAU_S_REJECTED + "1e+307"),
+            (["guidelines", "--p-th", "0.5", "--tau-s", "5e-324"], TAU_S_REJECTED + "5e-324"),
+            (["guidelines", "--p-th", "0.5", "--tau-s", "1e-310"], TAU_S_REJECTED + "1e-310"),
+            (["sweep", "--q-list", "1,2", "--ratio-list", "1", "--lambda-p-range", "0:1e300:3", "--crossovers",
+              "--tau-s", "5e-324"], TAU_S_REJECTED + "5e-324"),
         ],
     )
     def test_message_is_stable(self, capsys, argv, message):
@@ -571,6 +582,26 @@ class TestBoundedInputs:
                              "--lambda-p-list", "1,1e308", "--frames", "10")
         message = "mean must be at most 1e+09 per frame, got 2.5250000000000003e+306"
         assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert calls == []
+
+    LAW_OVER_BUDGET = ("lambda_p=400000.0 at k_a=1000 needs a singleton law of 49939 rows, 502286462 bytes "
+                       "and 49272833500 build steps; the budget is 268435456 bytes and 1000000000 steps")
+
+    def test_singleton_law_over_budget_exits_2_at_once(self, capsys):
+        # Building this law would take minutes and ~0.5 GB.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "simulate", "--frame-slots", "1001", "--q", "0", "--lambda-q", "0",
+                             "--lambda-p", "4e5", "--frames", "10")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (2, "", f"error: {self.LAW_OVER_BUDGET}\n")
+
+    def test_validate_checks_every_law_before_simulating(self, capsys, monkeypatch):
+        calls = []
+        original = simulate_module._simulate_one
+        monkeypatch.setattr(simulate_module, "_simulate_one", lambda *a: calls.append(a) or original(*a))
+        code, out, err = run(capsys, "validate", "--frame-slots", "1001", "--q-list", "0", "--lambda-q-list", "0",
+                             "--lambda-p-list", "1,4e5", "--frames", "10")
+        assert (code, out, err) == (2, "", f"error: {self.LAW_OVER_BUDGET}\n")
         assert calls == []
 
     @pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])

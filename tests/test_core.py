@@ -10,6 +10,10 @@ from hypothesis import strategies as st
 from pullpush.core import (
     _MAX_POISSON_MEAN,
     _check_poisson_mean,
+    _fill_guide,
+    _guide_bins,
+    _inversion_table,
+    _invert_guided,
     erlang_b,
     poisson_pmf,
     sample_poisson,
@@ -188,6 +192,91 @@ class TestSamplePoisson:
         x = sample_poisson(mean, np.random.default_rng(seed))
         y = sample_poisson(mean, np.random.default_rng(seed))
         assert x == y >= 0
+
+
+@st.composite
+def cdf_rows(draw, width=None):
+    """A nondecreasing row in [0, 1] that ends at 1.0: spread out, clustered
+    in one guide bin, with leading zeros, or reaching 1.0 early."""
+    if width is None:
+        width = draw(st.sampled_from([1, 2, 3, 255, 256, 257]) | st.integers(1, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bins = _guide_bins(width)
+    shape = draw(st.sampled_from(["spread", "cluster", "zeros", "early_one"]))
+    if shape == "cluster":  # every entry in one bin, one of them on its edge
+        j = int(rng.integers(bins))
+        body = (j + rng.random(width - 1)) / bins
+        body[: min(1, width - 1)] = j / bins
+    else:
+        body = rng.random(width - 1)
+    row = np.append(np.sort(body), 1.0)
+    if shape == "zeros":
+        row[: int(rng.integers(width))] = 0.0
+    elif shape == "early_one":
+        row[int(rng.integers(width)) :] = 1.0
+    return row
+
+
+def guide_of(row):
+    guide = np.empty(_guide_bins(len(row)) + 1, dtype=np.min_scalar_type(len(row) - 1))
+    _fill_guide(row[None], guide[None])
+    return guide
+
+
+def edge_uniforms(row, rng):
+    """Uniforms on every bin edge j/bins and just below it, on every entry of
+    ``row`` and just below it, and at random."""
+    bins = _guide_bins(len(row))
+    edges = np.concatenate([np.arange(bins) / bins, row])
+    u = np.concatenate([edges, np.nextafter(edges, 0.0), rng.random(200)])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+class TestIndexedSearch:
+    """``_invert_guided`` against ``np.searchsorted(row, u, side="right")``."""
+
+    @given(row=cdf_rows(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300)
+    def test_one_row_equals_searchsorted(self, row, seed):
+        u = edge_uniforms(row, np.random.default_rng(seed))
+        drawn = _invert_guided(row, guide_of(row), u)
+        expected = np.searchsorted(row, u, side="right")
+        assert drawn.dtype == expected.dtype and np.array_equal(drawn, expected)
+
+    @given(row=cdf_rows())
+    def test_guide_matches_its_definition(self, row):
+        guide = guide_of(row)
+        bins = len(guide) - 1
+        assert np.array_equal(guide[:bins], np.searchsorted(row, np.arange(bins) / bins, side="right"))
+        assert guide[bins] == np.argmax(row == 1.0)
+
+    @pytest.mark.parametrize("width, dtype", [(1, np.uint8), (255, np.uint8), (256, np.uint8), (257, np.uint16)])
+    def test_guide_type_at_the_uint8_boundary(self, width, dtype):
+        assert guide_of(np.linspace(1.0 / width, 1.0, width)).dtype == dtype
+        assert _guide_bins(width) >= width > _guide_bins(width) // 2
+
+    @given(data=st.data(), width=st.sampled_from([1, 2, 255, 256, 257]) | st.integers(1, 300),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100)
+    def test_table_with_mixed_rows_equals_searchsorted(self, data, width, seed):
+        table = np.array(data.draw(st.lists(cdf_rows(width), min_size=1, max_size=6)))
+        guide = np.array([guide_of(row) for row in table])
+        at_once = np.empty_like(guide)
+        _fill_guide(table, at_once)
+        assert np.array_equal(at_once, guide)
+        rng = np.random.default_rng(seed)
+        u = np.concatenate([edge_uniforms(row, rng) for row in table])
+        rows = rng.integers(len(table), size=len(u))
+        drawn = _invert_guided(table, guide, u, rows)
+        expected = np.array([np.searchsorted(table[r], x, side="right") for r, x in zip(rows, u)], dtype=np.intp)
+        assert drawn.dtype == expected.dtype and np.array_equal(drawn, expected)
+
+    @pytest.mark.parametrize("mean", [1e-300, 0.25, 12.625, 2525.25, 1e6])
+    def test_poisson_table_equals_searchsorted(self, mean):
+        first, cdf, guide = _inversion_table(mean)
+        u = edge_uniforms(cdf, np.random.default_rng(7))
+        assert np.array_equal(_invert_guided(cdf, guide, u), np.searchsorted(cdf, u, side="right"))
+        assert np.array_equal(guide, guide_of(cdf))
 
 
 class TestInputRule:

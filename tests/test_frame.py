@@ -1,6 +1,7 @@
 """Tests for the frame geometry."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -40,6 +41,19 @@ class TestFrameConfig:
     def test_rejects_zero_slot_counts(self):
         with pytest.raises(ValueError):
             FrameConfig(k_w=0)
+
+    @pytest.mark.parametrize("tau_s", [1e307, 1.6e-308, 1e-310, 5e-324])
+    def test_rejects_tau_whose_frame_time_or_start_rate_overflows(self, tau_s):
+        # 1e307 * 101 and 3 * 101 / (1.6e-308 * 101) exceed the largest float.
+        message = (r"^tau_s must keep tau_s \* frame_slots and 3 \* frame_slots / \(tau_s \* frame_slots\) "
+                   rf"finite at frame_slots=101, got {re.escape(repr(tau_s))}$")
+        with pytest.raises(ValueError, match=message):
+            FrameConfig(tau_s=tau_s)
+
+    @pytest.mark.parametrize("tau_s", [1e306, 1.7e-308])
+    def test_accepts_tau_whose_frame_time_and_start_rate_fit(self, tau_s):
+        config = FrameConfig(tau_s=tau_s)
+        assert math.isfinite(config.t_frame_s) and math.isfinite(3.0 * config.frame_slots / config.t_frame_s)
 
     @pytest.mark.parametrize("field", ["tau_s", "frame_slots", "k_w", "k_t", "k_c"])
     def test_rejects_bool(self, field):

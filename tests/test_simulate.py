@@ -14,13 +14,17 @@ from pullpush.frame import FrameConfig, InfeasibleSplitError, split_for_q
 from pullpush.metrics import TrafficLoad, push_success_prob, push_throughput, query_success_prob
 from pullpush.simulate import (
     _CHUNK_FRAMES,
+    _LAW_MAX_BYTES,
+    _LAW_MAX_STEPS,
     STREAM_VERSION,
     SimConfig,
+    _check_simulation,
     _merge,
     _RepStats,
     _simulate_one,
     _singleton_cap,
     _singleton_law,
+    _singleton_law_cost,
     _SingletonLaw,
     replication_stream,
     simulate,
@@ -168,8 +172,9 @@ class TestConservation:
         _simulate_one(DEFAULT_CONFIG, load, 4, SimConfig(frames=4 * _CHUNK_FRAMES, seed=5), 0)
         info = _inversion_table.cache_info()
         assert (info.misses, info.hits) == (2, 6)
-        _, cdf = _inversion_table(load.mean_packets_per_frame(T_FRAME))
+        _, cdf, guide = _inversion_table(load.mean_packets_per_frame(T_FRAME))
         assert not cdf.flags.writeable  # a shared table cannot be altered by a caller
+        assert not guide.flags.writeable
 
     def test_empty_chunk(self):
         successes = slot_successes(np.zeros(10, dtype=np.int64), 5, np.random.default_rng(0))
@@ -238,6 +243,24 @@ class TestSingletonLaw:
         grown.rows_through(20)
         grown.rows_through(12)
         assert np.array_equal(grown.rows, _SingletonLaw(7).rows_through(20))
+        # Inside a buffer's spare rows and past them: rows and guide as if built at once.
+        for n in (21, 30, 41, 42, 90, 400):
+            grown.rows_through(n)
+            once = _SingletonLaw(7)
+            assert np.array_equal(grown.rows, once.rows_through(n))
+            assert np.array_equal(grown.guide, once.guide)
+
+    @pytest.mark.parametrize("k", [1, 5, 50, 100, 255, 256, 300])
+    def test_draws_equal_row_searchsorted(self, k):
+        # The same uniforms, inverted row by row without the guide.
+        counts = np.concatenate([np.arange(3 * k + 3), sample_poisson_array(1.5 * k, 3000, np.random.default_rng(k))])
+        drawn = slot_successes(counts, k, np.random.default_rng(k + 1))
+        law = _singleton_law(k)
+        u = np.random.default_rng(k + 1).random(len(counts))
+        n = np.minimum(counts, law.n_cap)
+        expected = [np.searchsorted(law.rows[i], x, side="right") for i, x in zip(n, u)]
+        assert np.array_equal(drawn, expected)
+        assert law.guide.dtype == (np.uint8 if k < 256 else np.uint16)
 
     def test_counts_beyond_the_cap_never_succeed_and_stay_bounded(self):
         k = 5
@@ -308,6 +331,47 @@ class TestMemory:
 
         peak(_CHUNK_FRAMES)  # builds the singleton law outside the comparison
         assert peak(16 * _CHUNK_FRAMES) - peak(4 * _CHUNK_FRAMES) < 2**20
+
+
+class TestLawBudget:
+    """The singleton law a simulation needs is bounded before any draw."""
+
+    @pytest.mark.parametrize(
+        "frame_slots, lambda_p, cost",
+        [
+            (101, 1e5, (3339, 3339 * (8 * 101 + 129), 100 * 101 * 201 // 6 + 3239 * 100**2)),
+            (101, 0.0, (60, 60 * (8 * 61 + 65), 60 * 61 * 121 // 6)),
+            (1001, 400.0, (311, 311 * (8 * 312 + 2 * 513), 311 * 312 * 623 // 6)),
+            (10**7, 1e-4, (68, 68 * (8 * 69 + 129), 68 * 69 * 137 // 6)),  # k_a near 10^7, 0.25 packets/frame
+            (1001, 4e5, (49939, 49939 * (8 * 1001 + 2 * 1025), 1000 * 1001 * 2001 // 6 + 48939 * 1000**2)),
+        ],
+    )
+    def test_cost_estimate(self, frame_slots, lambda_p, cost):
+        config = FrameConfig(frame_slots=frame_slots)
+        k_a = split_for_q(config, 0).k_a
+        assert _singleton_law_cost(k_a, lambda_p * config.t_frame_s) == cost
+
+    def test_estimate_covers_the_built_law(self):
+        # Reference frame, lambda_p = 1e5/s, q = 0: the heavy_push benchmark's top point.
+        k_a, mean = 100, 1e5 * T_FRAME
+        rows, size, _ = _singleton_law_cost(k_a, mean)
+        law = _singleton_law(k_a)
+        law.rows_through(int(sample_poisson_array(mean, 20000, np.random.default_rng(3)).max()))
+        assert len(law.rows) <= rows + 1
+        assert law.rows[:rows].nbytes + law.guide[:rows].nbytes <= size
+
+    def test_heavy_point_accepted_and_large_frame_rejected(self):
+        _check_simulation(DEFAULT_CONFIG, TrafficLoad(400.0, 1e5), 0)
+        assert _LAW_MAX_BYTES == 2**28 and _LAW_MAX_STEPS == 10**9
+        with pytest.raises(ValueError, match=r"^lambda_p=400000.0 at k_a=1000 needs a singleton law of 49939 rows"):
+            simulate(FrameConfig(frame_slots=1001), TrafficLoad(0.0, 4e5), 0, SimConfig(frames=10))
+
+    def test_other_rejections_come_first(self):
+        config = FrameConfig(frame_slots=1001)
+        with pytest.raises(InfeasibleSplitError):
+            _check_simulation(config, TrafficLoad(0.0, 4e5), 1000)
+        with pytest.raises(ValueError, match="^mean must be at most"):
+            _check_simulation(config, TrafficLoad(1e12, 4e5), 0)
 
 
 class TestEstimatorConsistency:
