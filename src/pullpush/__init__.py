@@ -2,9 +2,9 @@
 IoT traffic: closed-form metrics, frame-split optimization, and a
 reproducible Monte Carlo simulator."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
-from .core import erlang_b, poisson_pmf, sample_poisson, sample_poisson_array
+from .core import erlang_b, poisson_pmf, sample_poisson_array
 from .frame import FrameConfig, FrameSplit, InfeasibleSplitError, q_max, split_for_q
 from .metrics import (
     MetricsReport,
@@ -16,7 +16,6 @@ from .metrics import (
     push_success_prob_given,
     push_throughput,
     query_success_prob,
-    weighted_success_prob,
 )
 from .optimize import (
     GuidelineRow,
@@ -43,7 +42,6 @@ __all__ = [
     "__version__",
     "erlang_b",
     "poisson_pmf",
-    "sample_poisson",
     "sample_poisson_array",
     "FrameConfig",
     "FrameSplit",
@@ -59,7 +57,6 @@ __all__ = [
     "push_success_prob_given",
     "push_throughput",
     "query_success_prob",
-    "weighted_success_prob",
     "GuidelineRow",
     "InfeasibleTargetError",
     "OptimizationResult",

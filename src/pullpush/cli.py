@@ -107,6 +107,8 @@ def _range_spec(text: str) -> tuple[float, float, int]:
         raise argparse.ArgumentTypeError(f"expected min:max:steps with numeric parts, got {text}")
     if steps < 1 or hi < lo or lo < 0.0:
         raise argparse.ArgumentTypeError("range must satisfy 0 <= min <= max and steps >= 1")
+    if not math.isfinite(lo) or not math.isfinite(hi):  # nan passes every comparison above
+        raise argparse.ArgumentTypeError(f"range min and max must be finite, got {text}")
     return lo, hi, steps
 
 
@@ -248,6 +250,10 @@ def _cmd_simulate(args: argparse.Namespace, config: FrameConfig) -> _Output:
 
 
 def _cmd_validate(args: argparse.Namespace, config: FrameConfig) -> _Output:
+    sizes = (len(args.q_list), len(args.lambda_q_list), len(args.lambda_p_list))
+    if math.prod(sizes) > MAX_ROWS:
+        raise ValueError(f"validate exceeds {MAX_ROWS} grid points: {sizes[0]} q x {sizes[1]} lambda_q "
+                         f"x {sizes[2]} lambda_p")
     sim, sim_params = _sim_config(args)
     rows, summary = validate_grid(config, args.q_list, args.lambda_q_list, args.lambda_p_list, sim)
     row_dicts = [  # per checked metric: analytic value, estimate, 95% half-width, deviation

@@ -164,7 +164,8 @@ def _inversion_table(mean: float) -> tuple[int, np.ndarray, np.ndarray]:
 
 
 def sample_poisson_array(mean: float, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized Poisson draws; the array analogue of :func:`sample_poisson`.
+    """``size`` draws from Poisson(mean), by inversion of the CDF; one draw is
+    ``sample_poisson_array(mean, 1, rng)``.
 
     Consumes exactly ``size`` uniforms from ``rng`` (``rng.random(size)``),
     one per variate and also when ``mean == 0``, and inverts one CDF table
@@ -181,14 +182,6 @@ def sample_poisson_array(mean: float, size: int, rng: np.random.Generator) -> np
     draws = _invert_guided(cdf, guide, u)  # the smallest k with u < CDF(k)
     draws += first
     return draws
-
-
-def sample_poisson(mean: float, rng: np.random.Generator) -> int:
-    """One draw from Poisson(mean), by inversion of the CDF.
-
-    Consumes exactly one uniform per call, for any mean.
-    """
-    return int(sample_poisson_array(mean, 1, rng)[0])
 
 
 def erlang_b_steps(q_top: int, load):

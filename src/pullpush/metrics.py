@@ -5,6 +5,10 @@ probability is 1 minus the Erlang-B blocking at the per-frame query load.
 That is a lower bound, not a tight one: in the default frame it reads 0.781
 against the simulated pipeline's exact 0.871 at q=10, lambda_q=400/s, and
 0.525 against 0.649 at q=2, lambda_q=100/s. The simulator is the ground truth.
+This module is the only one that maps blocking to success, in three forms
+that agree bit for bit: :func:`query_success_steps` (every q up to a bound,
+in one recursion pass), :func:`query_success_curve` (one q, float or array
+mean, unchecked) and :func:`query_success_prob` (one q, checked).
 
 Push access is framed ALOHA over k_a slots on a collision channel: a
 packet survives iff it is alone in its slot.
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import erlang_b, erlang_b_curve, _check_int, _check_real
+from .core import erlang_b, erlang_b_curve, erlang_b_steps, _check_int, _check_real
 from .frame import FrameConfig, split_for_q
 
 _WEIGHT_SUM_TOL = 1e-12
@@ -78,12 +82,19 @@ class MetricsReport:
 
 def query_success_prob(q: int, mean_queries: float) -> float:
     """Probability a query is served: 1 - B(q, mean_queries)."""
-    return 1.0 - erlang_b(q, mean_queries)
+    return 1.0 - erlang_b(q, mean_queries)  # by name: the benchmark tracer counts erlang_b calls
 
 
 def query_success_curve(q: int, m):
     """:func:`query_success_prob`, bitwise, at a float or float64-array mean m, unchecked."""
-    return 1.0 - erlang_b_curve(q, m)
+    return 1.0 - erlang_b_curve(q, m)  # not via query_success_steps: a nested generator is slower
+
+
+def query_success_steps(q_top: int, m):
+    """Yield :func:`query_success_curve` at q = 0, 1, ..., q_top, bitwise, from one
+    Erlang-B pass, at a float or float64-array mean m, unchecked."""
+    for b in erlang_b_steps(q_top, m):
+        yield 1.0 - b
 
 
 def mean_served_queries(q: int, mean_queries: float) -> float:
@@ -138,19 +149,6 @@ def push_throughput(k_a: int, mean_packets: float, t_frame_s: float) -> float:
     _check_real("t_frame_s", t_frame_s, positive=True)
     m = _check_real("mean", mean_packets)
     return m / t_frame_s * math.exp(-m / k_a)
-
-
-def weighted_success_prob(
-    q: int,
-    k_a: int,
-    mean_queries: float,
-    mean_packets: float,
-    weights: Weights,
-) -> float:
-    """Convex combination of query and push success probabilities."""
-    return weights.w_q * query_success_prob(q, mean_queries) + weights.w_p * push_success_prob(
-        k_a, mean_packets
-    )
 
 
 def evaluate_metrics(

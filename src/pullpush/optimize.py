@@ -1,12 +1,13 @@
 """Frame-design procedures: best q, rate ceilings, guideline tables, crossovers.
 
 The q search is exhaustive (the domain has at most q_max + 1 points and the
-weighted objective is not guaranteed unimodal) and takes every q's blocking
-from one Erlang-B recursion pass. A rate ceiling, pull or push, is one search:
-the rate doubles from slots / T_frame until the success curve of q servers or
-k_a access slots falls to the target, then is bisected. A crossover is a grid
-scan of the weighted-success gap whose first bracket is then bisected; scan
-and bisection use one evaluator, :func:`weighted_success_sweep`.
+weighted objective is not guaranteed unimodal) and takes every q's query
+success from one pass of ``metrics.query_success_steps``. A rate ceiling,
+pull or push, is one search: the rate doubles from slots / T_frame until the
+success curve of q servers or k_a access slots falls to the target, then is
+bisected. A crossover is a grid scan of the weighted-success gap whose first
+bracket is then bisected; scan and bisection use one evaluator,
+:func:`weighted_success_sweep`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import _check_real, erlang_b_steps
+from .core import _check_real
 from .frame import FrameConfig, q_max, split_for_q
 # perfbench/tracer.py counts calls to the closed forms by these names; it is the
 # only user of evaluate_metrics and query_success_prob here.
@@ -31,6 +32,7 @@ from .metrics import (
     push_throughput,
     query_success_curve,
     query_success_prob,
+    query_success_steps,
     weighted_success_sweep,
 )
 
@@ -78,9 +80,8 @@ def optimal_q(
     mean_p = _check_real("mean", load.mean_packets_per_frame(config.t_frame_s))
     mean_q = _check_real("mean", load.mean_queries_per_frame(config.t_frame_s))
     table = []
-    for q, blocking in enumerate(erlang_b_steps(q_max(config), mean_q)):
+    for q, p_query in enumerate(query_success_steps(q_max(config), mean_q)):
         k_a = split_for_q(config, q).k_a
-        p_query = 1.0 - blocking
         p_push = push_success_prob(k_a, mean_p)
         table.append(QTableRow(q, w.w_q * p_query + w.w_p * p_push, p_query, p_push, k_a))
     best = max(table, key=lambda row: row.p_s_weighted)  # the first of equal maxima

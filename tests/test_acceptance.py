@@ -12,7 +12,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from pullpush.core import erlang_b, poisson_pmf, sample_poisson, sample_poisson_array
+from pullpush.core import erlang_b, poisson_pmf, sample_poisson_array
 from pullpush.frame import FrameConfig, split_for_q
 from pullpush.metrics import (
     TrafficLoad,
@@ -21,7 +21,6 @@ from pullpush.metrics import (
     push_success_prob,
     push_success_prob_given,
     query_success_prob,
-    weighted_success_prob,
 )
 from pullpush.optimize import crossover_push_rate, design_guidelines, optimal_q
 from pullpush.simulate import SimConfig, simulate, slot_successes, validate_grid
@@ -143,14 +142,12 @@ def test_criterion_5_property_suite():
         # Weighted objective stays a convex combination.
         for _ in range(cases):
             q = int(rng.integers(0, 20))
-            mean_q = float(rng.uniform(0.0, 50.0))
-            k_a = int(rng.integers(1, 101))
-            mean_p = float(rng.uniform(0.0, 60.0))
+            load = TrafficLoad(float(rng.uniform(0.0, 2000.0)), float(rng.uniform(0.0, 2400.0)))
             w_q = float(rng.uniform(0.0, 1.0))
             weights = Weights(w_q, 1.0 - w_q)
-            combined = weighted_success_prob(q, k_a, mean_q, mean_p, weights)
-            p_query = query_success_prob(q, mean_q)
-            p_push = push_success_prob(k_a, mean_p)
+            combined = evaluate_metrics(DEFAULT_CONFIG, load, q, weights).p_s_weighted
+            p_query = query_success_prob(q, load.lambda_q * T_FRAME)
+            p_push = push_success_prob(split_for_q(DEFAULT_CONFIG, q).k_a, load.lambda_p * T_FRAME)
             assert min(p_query, p_push) - 1e-12 <= combined <= max(p_query, p_push) + 1e-12
 
         # Conservation: per-frame slot successes bounded by packets and slots.
@@ -177,8 +174,8 @@ def test_criterion_5_property_suite():
         # Determinism: identical seeds give identical draws and runs.
         seeds = rng.integers(0, 2**32, size=cases)
         for seed in seeds:
-            a = sample_poisson(12.625, np.random.default_rng(int(seed)))
-            b = sample_poisson(12.625, np.random.default_rng(int(seed)))
+            a = sample_poisson_array(12.625, 1, np.random.default_rng(int(seed))).tolist()
+            b = sample_poisson_array(12.625, 1, np.random.default_rng(int(seed))).tolist()
             assert a == b
         sim = SimConfig(frames=1000, seed=8080)
         load = TrafficLoad(150.0, 350.0)

@@ -273,6 +273,14 @@ class TestSweep:
             main(["sweep", "--q-list", "1", "--ratio-list", "1", "--lambda-p-range", "10:5:3"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("spec", ["0:inf:2", "0:nan:2", "nan:nan:2"])
+    def test_non_finite_range_exits_2_naming_the_flag(self, capsys, spec):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--q-list", "1", "--ratio-list", "1", "--lambda-p-range", spec])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: argument --lambda-p-range: range min and max must be finite, got {spec}\n")
+
     def test_too_many_rows_exits_2_before_allocating(self, capsys):
         argv = ["sweep", "--q-list", "1,3", "--ratio-list", "1", "--lambda-p-range", "1:10:100000000"]
         tracemalloc.start()
@@ -584,6 +592,25 @@ class TestBoundedInputs:
         assert (code, out, err) == (2, "", f"error: {message}\n")
         assert calls == []
 
+    def test_validate_grid_over_max_rows_exits_2_before_simulating(self, capsys, monkeypatch):
+        calls = []
+        original = simulate_module._simulate_one
+        monkeypatch.setattr(simulate_module, "_simulate_one", lambda *a: calls.append(a) or original(*a))
+        values = ",".join(map(str, range(1, 101)))
+        code, out, err = run(capsys, "validate", "--q-list", values, "--lambda-q-list", values,
+                             "--lambda-p-list", values + ",101", "--frames", "10")
+        message = "validate exceeds 1000000 grid points: 100 q x 100 lambda_q x 101 lambda_p"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert calls == []
+
+    def test_validate_grid_of_max_rows_is_accepted(self, capsys, monkeypatch):
+        grids = []
+        monkeypatch.setattr(cli, "validate_grid", lambda *a: grids.append(a) or ([], {"flags": 0}))
+        values = ",".join(map(str, range(100)))
+        code, _, _ = run(capsys, "validate", "--q-list", values, "--lambda-q-list", values,
+                         "--lambda-p-list", values, "--frames", "10")
+        assert code == 0 and len(grids) == 1
+
     LAW_OVER_BUDGET = ("lambda_p=400000.0 at k_a=1000 needs a singleton law of 49939 rows, 502286462 bytes "
                        "and 49272833500 build steps; the budget is 268435456 bytes and 1000000000 steps")
 
@@ -658,7 +685,7 @@ class TestModuleEntryPoint:
 
     def test_version(self):
         done = self.run_module("--version")
-        assert (done.returncode, done.stdout, done.stderr) == (0, "pullpush 0.1.0\n", "")
+        assert (done.returncode, done.stdout, done.stderr) == (0, "pullpush 0.2.0\n", "")
 
     def test_usage_error_exits_2(self):
         done = self.run_module("analyze", "--q", "1")

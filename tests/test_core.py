@@ -16,7 +16,6 @@ from pullpush.core import (
     _invert_guided,
     erlang_b,
     poisson_pmf,
-    sample_poisson,
     sample_poisson_array,
 )
 from pullpush.frame import FrameConfig, split_for_q
@@ -121,12 +120,12 @@ class TestErlangB:
 class TestSamplePoisson:
     def test_degenerate(self):
         rng = np.random.default_rng(0)
-        assert sample_poisson(0.0, rng) == 0
+        assert sample_poisson_array(0.0, 1, rng).tolist() == [0]
 
     def test_negative_mean_rejected(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            sample_poisson(-0.1, rng)
+            sample_poisson_array(-0.1, 1, rng)
 
     def test_mean_bound(self):
         # The largest accepted mean builds a 948805-entry table; one float
@@ -141,8 +140,8 @@ class TestSamplePoisson:
     def test_identical_seeds_identical_sequences(self):
         a = np.random.default_rng(1234)
         b = np.random.default_rng(1234)
-        draws_a = [sample_poisson(6.3125, a) for _ in range(1000)]
-        draws_b = [sample_poisson(6.3125, b) for _ in range(1000)]
+        draws_a = [sample_poisson_array(6.3125, 1, a).tolist() for _ in range(1000)]
+        draws_b = [sample_poisson_array(6.3125, 1, b).tolist() for _ in range(1000)]
         assert draws_a == draws_b
 
     def test_array_matches_seeded_rerun(self):
@@ -189,8 +188,8 @@ class TestSamplePoisson:
     @given(mean=st.floats(min_value=0.0, max_value=80.0), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=200)
     def test_nonnegative_and_deterministic(self, mean, seed):
-        x = sample_poisson(mean, np.random.default_rng(seed))
-        y = sample_poisson(mean, np.random.default_rng(seed))
+        [x] = sample_poisson_array(mean, 1, np.random.default_rng(seed)).tolist()
+        [y] = sample_poisson_array(mean, 1, np.random.default_rng(seed)).tolist()
         assert x == y >= 0
 
 

@@ -3,6 +3,8 @@
 Sweeps, crossover scans and the best-q table evaluate the Erlang-B
 recursion and the push formulas over arrays; their outputs stay
 byte-identical only if every element is bitwise the scalar result.
+Query success has three forms in ``metrics`` (every q in one pass, one q
+unchecked, one q checked), which must agree in every bit too.
 Comparisons are on the IEEE bit patterns, not approximate.
 """
 
@@ -17,8 +19,12 @@ from pullpush.metrics import (
     evaluate_metrics,
     push_success_curve,
     push_success_prob,
+    query_success_curve,
+    query_success_prob,
+    query_success_steps,
     weighted_success_sweep,
 )
+from pullpush.optimize import optimal_q
 
 CONFIG = FrameConfig()
 Q_MAX = q_max(CONFIG)
@@ -44,6 +50,30 @@ def test_erlang_b_over_an_array_is_the_scalar_recursion(values):
 @given(load=st.floats(min_value=0.0, max_value=1e6))
 def test_one_pass_gives_every_server_count(load):
     assert bits(list(erlang_b_steps(Q_MAX, load))) == bits([erlang_b(q, load) for q in range(Q_MAX + 1)])
+
+
+@given(values=loads)
+@settings(max_examples=200)
+def test_query_success_steps_are_the_curve_over_an_array(values):
+    m = np.array(values)
+    steps = [np.broadcast_to(p, len(values)) for p in query_success_steps(Q_MAX, m)]
+    assert len(steps) == Q_MAX + 1
+    for q in range(Q_MAX + 1):
+        assert bits(steps[q]) == bits(np.broadcast_to(query_success_curve(q, m), len(values)))
+
+
+@given(mean=st.floats(min_value=0.0, max_value=1e6))
+def test_query_success_steps_are_the_curve_and_the_checked_form(mean):
+    steps = list(query_success_steps(Q_MAX, mean))
+    assert bits(steps) == bits([query_success_curve(q, mean) for q in range(Q_MAX + 1)])
+    assert bits(steps) == bits([query_success_prob(q, mean) for q in range(Q_MAX + 1)])
+
+
+@given(lambda_q=st.floats(min_value=0.0, max_value=4e4), lambda_p=st.floats(min_value=0.0, max_value=4e3))
+def test_best_q_table_reads_the_checked_query_success(lambda_q, lambda_p):
+    mean = lambda_q * CONFIG.t_frame_s
+    table = optimal_q(CONFIG, TrafficLoad(lambda_q, lambda_p)).per_q_table
+    assert bits([row.p_s_query for row in table]) == bits([query_success_prob(q, mean) for q in range(Q_MAX + 1)])
 
 
 @given(values=loads, k_a=st.sampled_from(K_AS))

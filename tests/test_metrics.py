@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pullpush.core import poisson_pmf
-from pullpush.frame import FrameConfig
+from pullpush.frame import FrameConfig, q_max, split_for_q
 from pullpush.metrics import (
     MetricsReport,
     TrafficLoad,
@@ -26,7 +26,6 @@ from pullpush.metrics import (
     push_success_prob_given,
     push_throughput,
     query_success_prob,
-    weighted_success_prob,
 )
 
 DEFAULT_CONFIG = FrameConfig()
@@ -267,18 +266,20 @@ class TestWeightedSuccess:
         assert report.p_s_weighted == pytest.approx(expected, abs=1e-4)
 
     @given(
+        frame_slots=st.sampled_from((12, 101)),  # 12 slots give k_a = 1 at q = 2
         q=st.integers(min_value=0, max_value=19),
-        mean_q=st.floats(min_value=0.0, max_value=50.0),
-        k_a=st.integers(min_value=1, max_value=100),
-        mean_p=st.floats(min_value=0.0, max_value=60.0),
+        lambda_q=st.floats(min_value=0.0, max_value=2000.0),
+        lambda_p=st.floats(min_value=0.0, max_value=2400.0),
         w_q=st.floats(min_value=0.0, max_value=1.0),
     )
     @settings(max_examples=300)
-    def test_convex_combination(self, q, mean_q, k_a, mean_p, w_q):
+    def test_convex_combination(self, frame_slots, q, lambda_q, lambda_p, w_q):
+        config = FrameConfig(frame_slots=frame_slots)
+        q = min(q, q_max(config))
         weights = Weights(w_q, 1.0 - w_q)
-        combined = weighted_success_prob(q, k_a, mean_q, mean_p, weights)
-        p_query = query_success_prob(q, mean_q)
-        p_push = push_success_prob(k_a, mean_p)
+        combined = evaluate_metrics(config, TrafficLoad(lambda_q, lambda_p), q, weights).p_s_weighted
+        p_query = query_success_prob(q, lambda_q * config.t_frame_s)
+        p_push = push_success_prob(split_for_q(config, q).k_a, lambda_p * config.t_frame_s)
         assert min(p_query, p_push) - 1e-12 <= combined <= max(p_query, p_push) + 1e-12
 
 
