@@ -45,12 +45,13 @@ EXIT_INFEASIBLE = 3
 EXIT_VALIDATION = 4
 
 SEED_ENV_VAR = "PULLPUSH_SEED"
-DEFAULT_SEED = 1
 
 MAX_ROWS = 10**6
 MAX_CROSSOVER_SEARCHES = 10**4
 MAX_GUIDELINE_WORK = 4 * 10**6  # targets x q_max^2: the rate searches of one q cost O(q)
 MAX_CROSSOVER_WORK = 10**6  # searches x largest q: one crossover search costs O(q)
+MAX_VALIDATE_STEPS = 10**7  # Erlang-B steps, the sum of q over the grid points: ~1.5 s
+MAX_SWEEP_WORK = 10**9  # Erlang-B steps x (lambda_p steps + 1000): an array step costs ~1000 elements; ~3 s
 
 # FrameConfig's fields by their name in config files and manifests (F for frame_slots).
 _CONFIG_FIELDS = {"F" if f.name == "frame_slots" else f.name: f for f in fields(FrameConfig)}
@@ -58,28 +59,27 @@ _CONFIG_FIELDS = {"F" if f.name == "frame_slots" else f.name: f for f in fields(
 
 # ---------------------------------------------------------------- argument types
 
-def _checked(name: str, convert, accept, expected: str):
+def _checked(convert, accept, expected: str):
     """Argparse type: ``convert(text)``, rejected unless ``accept`` holds.
-    argparse names the type by ``name`` when ``convert`` fails."""
+    argparse names the type by ``convert`` (``int`` or ``float``) when it fails."""
     def parse(text: str):
         value = convert(text)
         if not accept(value):
             raise argparse.ArgumentTypeError(f"expected {expected}, got {text}")
         return value
-    parse.__name__ = name
+    parse.__name__ = convert.__name__
     return parse
 
 
-_positive_int = _checked("_positive_int", int, lambda v: v >= 1, "an integer >= 1")
-_nonneg_int = _checked("_nonneg_int", int, lambda v: v >= 0, "an integer >= 0")
-_nonneg_float = _checked("_nonneg_float", float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
-_positive_float = _checked("_positive_float", float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
-_probability_open = _checked("_probability_open", float, lambda v: 0.0 < v < 1.0,
-                             "a value strictly inside (0, 1)")
-_unit_interval = _checked("_unit_interval", float, lambda v: 0.0 <= v <= 1.0, "a value in [0, 1]")
+_positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_nonneg_int = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_nonneg_float = _checked(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
+_positive_float = _checked(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
+_probability_open = _checked(float, lambda v: 0.0 < v < 1.0, "a value strictly inside (0, 1)")
+_unit_interval = _checked(float, lambda v: 0.0 <= v <= 1.0, "a value in [0, 1]")
 
 
-def _list_of(name: str, convert, kind: str):
+def _list_of(convert, kind: str):
     """Argparse type: a nonempty comma-separated list of ``convert`` values."""
     def parse(text: str) -> list:
         try:
@@ -89,12 +89,11 @@ def _list_of(name: str, convert, kind: str):
         if not values:
             raise argparse.ArgumentTypeError("list must be nonempty")
         return values
-    parse.__name__ = name
     return parse
 
 
-_int_list = _list_of("_int_list", int, "integer")
-_float_list = _list_of("_float_list", float, "number")
+_int_list = _list_of(int, "integer")
+_float_list = _list_of(float, "number")
 
 
 def _range_spec(text: str) -> tuple[float, float, int]:
@@ -150,21 +149,17 @@ def resolve_frame_config(args: argparse.Namespace) -> FrameConfig:
 
 
 def _sim_config(args: argparse.Namespace) -> tuple[SimConfig, dict]:
-    """SimConfig of the simulation flags and its manifest params; the seed
-    is --seed, else $PULLPUSH_SEED, else DEFAULT_SEED."""
-    seed, env = args.seed, os.environ.get(SEED_ENV_VAR)
-    if seed is None and env is not None:
+    """SimConfig of the simulation flags given and its manifest params; the
+    seed is --seed, else $PULLPUSH_SEED, else SimConfig's default."""
+    given = {field.name: getattr(args, field.name) for field in fields(SimConfig)}
+    env = os.environ.get(SEED_ENV_VAR)
+    if given["seed"] is None and env is not None:
         try:
-            seed = int(env)
+            given["seed"] = int(env)
         except ValueError:
             raise ValueError(f"{SEED_ENV_VAR}: expected an integer, got {env!r}")
-    sim = SimConfig(
-        frames=args.frames,
-        seed=DEFAULT_SEED if seed is None else seed,
-        replications=args.replications,
-        warmup_frames=args.warmup_frames,
-    )
-    return sim, {"frames": sim.frames, "replications": sim.replications, "warmup_frames": sim.warmup_frames}
+    sim = SimConfig(**{name: value for name, value in given.items() if value is not None})
+    return sim, {name: value for name, value in asdict(sim).items() if name != "seed"}
 
 
 # ---------------------------------------------------------------- commands
@@ -186,10 +181,13 @@ class _Output(NamedTuple):
 def _cmd_analyze(args: argparse.Namespace, config: FrameConfig) -> _Output:
     load = TrafficLoad(lambda_q=args.lambda_q, lambda_p=args.lambda_p)
     weights = Weights.traffic_fair(load) if args.w_q is None else Weights(w_q=args.w_q, w_p=1.0 - args.w_q)
+    split = split_for_q(config, args.q)  # a q the frame cannot hold exits 3, however large
+    if args.q > MAX_ROWS - 1:  # the largest q that optimize scans
+        raise ValueError(f"analyze exceeds {MAX_ROWS - 1} Erlang-B steps: q {args.q}")
     report = evaluate_metrics(config, load, args.q, weights)
     params = {"lambda_q": load.lambda_q, "lambda_p": load.lambda_p, "q": args.q,
               "w_q": weights.w_q, "w_p": weights.w_p}
-    return _Output(params, asdict(split_for_q(config, args.q)) | asdict(report))
+    return _Output(params, asdict(split) | asdict(report))
 
 
 def _cmd_optimize(args: argparse.Namespace, config: FrameConfig) -> _Output:
@@ -221,6 +219,10 @@ def _cmd_sweep(args: argparse.Namespace, config: FrameConfig) -> _Output:
     if searches * qs[-1] > MAX_CROSSOVER_WORK:
         raise ValueError(f"sweep exceeds {MAX_CROSSOVER_WORK} crossover searches x largest q: "
                          f"{searches} searches, largest q {qs[-1]}")
+    q_steps = sum(max(q, 0) for q in args.q_list) * len(args.ratio_list)
+    if q_steps * (steps + 1000) > MAX_SWEEP_WORK:
+        raise ValueError(f"sweep exceeds {MAX_SWEEP_WORK} Erlang-B steps x (lambda_p steps + 1000): "
+                         f"{q_steps} x {steps + 1000}")
     grid = np.linspace(lo, hi, steps)
     rows = [
         {"q": q, "ratio": ratio, "lambda_p": x, "p_s_weighted": p}
@@ -254,6 +256,9 @@ def _cmd_validate(args: argparse.Namespace, config: FrameConfig) -> _Output:
     if math.prod(sizes) > MAX_ROWS:
         raise ValueError(f"validate exceeds {MAX_ROWS} grid points: {sizes[0]} q x {sizes[1]} lambda_q "
                          f"x {sizes[2]} lambda_p")
+    q_steps = sum(max(q, 0) for q in args.q_list) * sizes[1] * sizes[2]
+    if q_steps > MAX_VALIDATE_STEPS:
+        raise ValueError(f"validate exceeds {MAX_VALIDATE_STEPS} Erlang-B steps: sum of q over the grid {q_steps}")
     sim, sim_params = _sim_config(args)
     rows, summary = validate_grid(config, args.q_list, args.lambda_q_list, args.lambda_p_list, sim)
     row_dicts = [  # per checked metric: analytic value, estimate, 95% half-width, deviation
@@ -307,8 +312,8 @@ def _emit(args: argparse.Namespace, manifest: dict, out: _Output) -> None:
     else:
         _write_csv(out.rows, sys.stdout)
         print(json.dumps(brief or manifest, indent=2), file=sys.stderr if brief is None else sys.stdout)
-    if out.trailer is not None and args.format == "csv":
-        print(json.dumps(out.trailer, indent=2))
+        if out.trailer is not None:
+            print(json.dumps(out.trailer, indent=2))
 
 
 # ---------------------------------------------------------------- parser
@@ -332,11 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
     output.add_argument("--format", choices=("json", "csv"), default="json", help="stdout format")
 
     sim_flags = argparse.ArgumentParser(add_help=False)
-    sim_flags.add_argument("--frames", type=_positive_int, default=100_000, help="frames per replication")
-    sim_flags.add_argument("--seed", type=_nonneg_int, default=None,
-                           help=f"RNG seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})")
-    sim_flags.add_argument("--replications", type=_positive_int, default=1)
-    sim_flags.add_argument("--warmup-frames", type=_nonneg_int, default=1)
+    sim_flags.add_argument("--frames", type=_positive_int, help="frames per replication")
+    sim_flags.add_argument("--seed", type=_nonneg_int, help=f"RNG seed (default: ${SEED_ENV_VAR} or {SimConfig.seed})")
+    sim_flags.add_argument("--replications", type=_positive_int)
+    sim_flags.add_argument("--warmup-frames", type=_nonneg_int)
 
     parser = argparse.ArgumentParser(
         prog="pullpush",
@@ -388,6 +392,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "csv", None) and args.format == "csv":
+            raise ValueError("--csv and --format csv cannot be combined: rows go to one of them")
         config = resolve_frame_config(args)
         out = args.handler(args, config)
         manifest = {

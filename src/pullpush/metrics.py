@@ -61,7 +61,7 @@ class Weights:
     @classmethod
     def traffic_fair(cls, load: TrafficLoad) -> "Weights":
         """Weights proportional to the arrival rates; (1/2, 1/2) at zero load."""
-        total = load.lambda_q + load.lambda_p
+        total = _check_real("lambda_q + lambda_p", load.lambda_q + load.lambda_p, must="be finite")
         if total == 0.0:
             return cls(0.5, 0.5)
         return cls(load.lambda_q / total, load.lambda_p / total)

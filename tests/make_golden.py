@@ -108,7 +108,7 @@ CASES: dict[str, list[str]] = {
     "sweep_infeasible_q": ["sweep", "--q-list", "1,25", "--ratio-list", "1",
                            "--lambda-p-range", "50:3000:60"],
     "guidelines_infeasible_target": ["guidelines", "--tau-s", "1e-300", "--p-th", "1e-300"],
-    # --csv and --format csv together: the file wins, sweep adds its crossovers.
+    # --csv and --format csv together exit 2 before any work and write nothing.
     "optimize_csv_file_and_format": ["optimize", *_LOAD, "--csv", "both.csv", "--format", "csv"],
     "sweep_csv_file_and_format": [*_SWEEP, "--csv", "both.csv", "--format", "csv"],
     "sweep_format_csv_no_crossovers": ["sweep", "--q-list", "19,2", "--ratio-list", "2",

@@ -492,20 +492,29 @@ class TestValidate:
         assert code == 4
 
 
+_ROW_COMMANDS = [
+    ["optimize", "--lambda-q", "250", "--lambda-p", "500"],
+    ["guidelines", "--p-th", "0.9"],
+    ["sweep", "--q-list", "1,10", "--ratio-list", "1", "--lambda-p-range", "1:10:3"],
+    ["validate", "--q-list", "2", "--lambda-q-list", "1", "--lambda-p-list", "1", "--frames", "10", "--seed", "1"],
+]
+
+
 class TestOutputPaths:
-    @pytest.mark.parametrize("argv", [
-        ["optimize", "--lambda-q", "250", "--lambda-p", "500"],
-        ["guidelines", "--p-th", "0.9"],
-        ["sweep", "--q-list", "1,10", "--ratio-list", "1", "--lambda-p-range", "1:10:3"],
-        ["validate", "--q-list", "2", "--lambda-q-list", "1", "--lambda-p-list", "1",
-         "--frames", "10", "--seed", "1"],
-    ])
+    @pytest.mark.parametrize("argv", _ROW_COMMANDS)
     @pytest.mark.parametrize("target", ["missing/rows.csv", "."])
     def test_unwritable_csv_path_exits_2(self, capsys, tmp_path, argv, target):
         # A path in a missing directory, and a path that is a directory.
         code, out, err = run(capsys, *argv, "--csv", str(tmp_path / target))
         assert code == 2 and out == ""
         assert err.startswith("error: ") and str(tmp_path) in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", _ROW_COMMANDS)
+    def test_csv_file_and_format_csv_exit_2_writing_nothing(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, *argv, "--csv", str(tmp_path / "rows.csv"), "--format", "csv")
+        message = "error: --csv and --format csv cannot be combined: rows go to one of them\n"
+        assert (code, out, err) == (2, "", message)
         assert list(tmp_path.iterdir()) == []
 
 
@@ -606,9 +615,10 @@ class TestBoundedInputs:
     def test_validate_grid_of_max_rows_is_accepted(self, capsys, monkeypatch):
         grids = []
         monkeypatch.setattr(cli, "validate_grid", lambda *a: grids.append(a) or ([], {"flags": 0}))
-        values = ",".join(map(str, range(100)))
-        code, _, _ = run(capsys, "validate", "--q-list", values, "--lambda-q-list", values,
-                         "--lambda-p-list", values, "--frames", "10")
+        # 10 q x 100 lambda_q x 1000 lambda_p; the sum of q over the grid stays within MAX_VALIDATE_STEPS.
+        code, _, _ = run(capsys, "validate", "--q-list", ",".join(map(str, range(10))),
+                         "--lambda-q-list", ",".join(map(str, range(100))),
+                         "--lambda-p-list", ",".join(map(str, range(1000))), "--frames", "10")
         assert code == 0 and len(grids) == 1
 
     LAW_OVER_BUDGET = ("lambda_p=400000.0 at k_a=1000 needs a singleton law of 49939 rows, 502286462 bytes "
@@ -630,6 +640,25 @@ class TestBoundedInputs:
                              "--lambda-p-list", "1,4e5", "--frames", "10")
         assert (code, out, err) == (2, "", f"error: {self.LAW_OVER_BUDGET}\n")
         assert calls == []
+
+    # Each entry point runs the Erlang-B recursion over q steps; --frame-slots 1e11 holds every q here.
+    # With the entry point deleted, a command that reaches it raises NameError.
+    @pytest.mark.parametrize("entry, argv, last_accepted, first_rejected", [
+        ("evaluate_metrics", ["analyze", "--lambda-q", "1", "--lambda-p", "1", "--q"], "999999", "1000000"),
+        ("weighted_success_sweep", ["sweep", "--ratio-list", "1", "--lambda-p-range", "1:2:1000", "--q-list"],
+         "499999,1", "500000,1"),
+        ("validate_grid", ["validate", "--lambda-q-list", "1", "--lambda-p-list", "1,2", "--q-list"],
+         "4999999,1", "5000000,1"),
+    ])
+    def test_erlang_b_work_is_bounded_before_any_work(self, capsys, monkeypatch, entry, argv, last_accepted,
+                                                      first_rejected):
+        monkeypatch.delattr(cli, entry)
+        with pytest.raises(NameError, match=entry):
+            main([*argv, last_accepted, "--frame-slots", "100000000000"])
+        for q in (first_rejected, "10000000000"):
+            code, out, err = run(capsys, *argv, q, "--frame-slots", "100000000000")
+            assert (code, out) == (2, "") and err.startswith(f"error: {argv[0]} exceeds ") and err.count("\n") == 1
+            assert "Erlang-B steps" in err
 
     @pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
     def test_config_tau_beyond_float_range(self, capsys, tmp_path, sign):
