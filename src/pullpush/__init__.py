@@ -2,7 +2,7 @@
 IoT traffic: closed-form metrics, frame-split optimization, and a
 reproducible Monte Carlo simulator."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .core import erlang_b, poisson_pmf, sample_poisson_array
 from .frame import FrameConfig, FrameSplit, InfeasibleSplitError, q_max, split_for_q
@@ -32,7 +32,6 @@ from .simulate import (
     SimConfig,
     SimResult,
     ValidationRow,
-    replication_stream,
     simulate,
     slot_successes,
     validate_grid,
@@ -69,7 +68,6 @@ __all__ = [
     "SimConfig",
     "SimResult",
     "ValidationRow",
-    "replication_stream",
     "simulate",
     "slot_successes",
     "validate_grid",

@@ -337,10 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     output.add_argument("--format", choices=("json", "csv"), default="json", help="stdout format")
 
     sim_flags = argparse.ArgumentParser(add_help=False)
-    sim_flags.add_argument("--frames", type=_positive_int, help="frames per replication")
+    sim_flags.add_argument("--frames", type=_positive_int, help="frames to simulate")
     sim_flags.add_argument("--seed", type=_nonneg_int, help=f"RNG seed (default: ${SEED_ENV_VAR} or {SimConfig.seed})")
-    sim_flags.add_argument("--replications", type=_positive_int)
-    sim_flags.add_argument("--warmup-frames", type=_nonneg_int)
 
     parser = argparse.ArgumentParser(
         prog="pullpush",

@@ -142,7 +142,7 @@ def _poisson_window(mean: float) -> tuple[int, int]:
     return max(0, math.floor(mean - half)), math.ceil(mean + half)
 
 
-@functools.lru_cache(maxsize=2)  # a replication draws from two means, chunk after chunk
+@functools.lru_cache(maxsize=2)  # a run draws from two means, chunk after chunk
 def _inversion_table(mean: float) -> tuple[int, np.ndarray, np.ndarray]:
     """(first value, read-only CDF, read-only guide) of Poisson(mean) over its
     inversion window.

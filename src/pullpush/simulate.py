@@ -8,18 +8,17 @@ packets picks one of the k_a access slots uniformly and survives iff it
 is alone in its slot. The simulator draws the number of such singleton
 slots S directly from its exact law given the frame's packet count.
 
-Reproducibility: replication r draws from a PCG64 generator keyed by
-``numpy.random.SeedSequence(entropy=seed, spawn_key=(r,))``. Within a
-replication the stream is consumed in fixed 32768-frame chunks, in frame
-order, and each chunk of m frames takes exactly 3m uniforms in this order:
+Reproducibility: a run draws from one PCG64 generator keyed by
+``numpy.random.SeedSequence(entropy=seed, spawn_key=(0,))``. The stream is
+consumed in fixed 32768-frame chunks, in frame order, and each chunk of m
+frames takes exactly 3m uniforms in this order:
 m for the query batches its frames resolve, m for its packet counts (one
 uniform per Poisson variate, see :func:`pullpush.core.sample_poisson_array`)
 and m for its singleton counts (one per frame, see :func:`slot_successes`).
 Both samplers invert a tabled CDF by indexed search
 (:func:`pullpush.core._invert_guided`): each uniform maps to the first
 table entry above it, as a bisection of the same table would find.
-Results are bitwise reproducible from (seed, r) alone; :func:`simulate` runs
-the replications in order and merges them in that order. ``STREAM_VERSION``
+Results are bitwise reproducible from the seed alone. ``STREAM_VERSION``
 names the draw order; it changes whenever a fixed seed gives other draws.
 """
 
@@ -27,7 +26,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -58,17 +57,14 @@ STREAM_VERSION = 2  # order of random draws documented above
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Run length and seed. ``warmup_frames`` fills the one-frame-deadline query
-    pipeline: 0 starts it empty, and every value >= 1 gives the same result."""
+    """Run length and seed. The query pipeline starts full: the first frame
+    serves a batch that arrived in the frame before it."""
 
     frames: int = 100_000
     seed: int = 1
-    replications: int = 1
-    warmup_frames: int = 1
 
     def __post_init__(self):
-        for name, low in (("frames", 1), ("replications", 1), ("warmup_frames", 0)):
-            _check_int(name, getattr(self, name), low)
+        _check_int("frames", self.frames, 1)
         _check_int("seed", self.seed, 0, 2**64, must="fit an unsigned 64-bit integer")
 
 
@@ -103,9 +99,10 @@ class ValidationRow:
     flags: tuple[str, ...]
 
 
-def replication_stream(seed: int, replication: int = 0) -> np.random.Generator:
-    """Independent generator for one replication (PCG64, spawn-keyed)."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(replication,))
+def _stream(seed: int) -> np.random.Generator:
+    """The run's generator: PCG64 keyed by ``spawn_key=(0,)``, the key that
+    STREAM_VERSION 2 fixed."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(0,))
     return np.random.Generator(np.random.PCG64(ss))
 
 
@@ -235,7 +232,7 @@ def slot_successes(packet_counts: np.ndarray, k_a: int, rng: np.random.Generator
 
 
 @dataclass
-class _RepStats:
+class _RunStats:
     frames: int
     queries_total: int = 0
     queries_served: int = 0
@@ -255,32 +252,22 @@ class _RepStats:
         }
 
 
-def _simulate_one(
-    config: FrameConfig,
-    load: TrafficLoad,
-    q: int,
-    sim: SimConfig,
-    replication: int,
-) -> _RepStats:
+def _simulate_one(config: FrameConfig, load: TrafficLoad, q: int, sim: SimConfig) -> _RunStats:
     split = split_for_q(config, q)
-    rng = replication_stream(sim.seed, replication)
+    rng = _stream(sim.seed)
     t_frame = config.t_frame_s
     mean_q = load.mean_queries_per_frame(t_frame)
     mean_p = load.mean_packets_per_frame(t_frame)
     frames = sim.frames
-    warmup = sim.warmup_frames
-    stats = _RepStats(frames=frames)
+    stats = _RunStats(frames=frames)
 
     # Query pipeline: the batch arriving in frame t is resolved in frame
     # t+1, so observed frame j resolves the batch of the frame before it,
-    # for j = 0 the last warmup frame's. Each chunk draws the batches its
-    # frames resolve; with warmup = 0 the first observed frame resolves an
-    # empty pipeline, and its draw is discarded.
+    # for j = 0 that of a frame run before observation starts. Each chunk
+    # draws the batches its frames resolve.
     for start in range(0, frames, _CHUNK_FRAMES):
         size = min(_CHUNK_FRAMES, frames - start)
         resolved = sample_poisson_array(mean_q, size, rng)
-        if start == 0 and warmup == 0:
-            resolved[0] = 0
         served = np.minimum(resolved, q)
         stats.queries_total += int(resolved.sum())
         stats.queries_served += int(served.sum())
@@ -305,9 +292,7 @@ def _sample_half_width(total: float, sumsq: float, n: int) -> float:
     return _Z95 * math.sqrt(var / n)
 
 
-def _merge(stats: list[_RepStats], t_frame_s: float) -> SimResult:
-    sums = (sum(getattr(s, field.name) for s in stats) for field in fields(_RepStats))
-    total = _RepStats(*sums)
+def _merge(total: _RunStats, t_frame_s: float) -> SimResult:
     estimates = total.estimates(t_frame_s)
     zero_query = total.queries_total == 0
     p_query = estimates["p_s_query"]
@@ -334,21 +319,18 @@ def _merge(stats: list[_RepStats], t_frame_s: float) -> SimResult:
 
 
 def simulate(config: FrameConfig, load: TrafficLoad, q: int, sim: SimConfig) -> SimResult:
-    """Run ``sim.replications`` independent replications and merge them.
+    """Simulate ``sim.frames`` frames from the stream of ``sim.seed``.
 
     Estimators: served/total for query success; the frame average of
     (1 if no packets else successes/packets) for push success, which is
     the sample analogue of the analytic average over the packet count;
     total successes/(frames * T_frame) for throughput. Half-widths are
-    normal-approximation 95% intervals over the per-frame samples pooled
-    across replications: frames are independent within and across
-    replications, so R replications of F frames give the interval of one
-    run of R * F frames. A load whose singleton law would pass
-    ``_LAW_MAX_BYTES`` or ``_LAW_MAX_STEPS`` is rejected before any draw.
+    normal-approximation 95% intervals over the independent per-frame
+    samples. A load whose singleton law would pass ``_LAW_MAX_BYTES`` or
+    ``_LAW_MAX_STEPS`` is rejected before any draw.
     """
     _check_simulation(config, load, q)
-    stats = [_simulate_one(config, load, q, sim, r) for r in range(sim.replications)]
-    return _merge(stats, config.t_frame_s)
+    return _merge(_simulate_one(config, load, q, sim), config.t_frame_s)
 
 
 def validate_grid(

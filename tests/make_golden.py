@@ -132,8 +132,6 @@ CASES: dict[str, list[str]] = {
     "config_missing": ["analyze", "--config", "missing.json", *_LOAD, "--q", "5"],
     # Simulation commands: seed from the flag, the environment and the default.
     "simulate": ["simulate", *_SIM, "--seed", "5"],
-    "simulate_replications": ["simulate", *_SIM, "--seed", "5", "--replications", "3",
-                              "--warmup-frames", "0"],
     "simulate_env_seed": ["simulate", *_SIM],
     "simulate_default_seed": ["simulate", *_SIM, "--config", "frame.json", "--q", "3"],
     "simulate_infeasible_q": ["simulate", *_SIM, "--q", "25", "--seed", "5"],
@@ -155,6 +153,8 @@ CASES: dict[str, list[str]] = {
     "reject_frames_zero": ["simulate", *_LOAD, "--q", "1", "--frames", "0"],
     "reject_frames_not_int": ["simulate", *_LOAD, "--q", "1", "--frames", "x"],
     "reject_seed_negative": ["simulate", *_LOAD, "--q", "1", "--seed", "-1"],
+    "reject_replications": ["simulate", *_SIM, "--seed", "5", "--replications", "3",
+                            "--warmup-frames", "0"],
     "reject_lambda_not_number": ["analyze", "--lambda-q", "x", "--lambda-p", "500", "--q", "1"],
     "reject_w_q_not_number": ["analyze", *_LOAD, "--q", "1", "--w-q", "x"],
     "reject_p_th_not_number": ["guidelines", "--p-th", "x"],

@@ -38,7 +38,6 @@ PUBLIC = [
     "push_throughput",
     "q_max",
     "query_success_prob",
-    "replication_stream",
     "sample_poisson_array",
     "simulate",
     "slot_successes",

@@ -660,6 +660,45 @@ class TestBoundedInputs:
             assert (code, out) == (2, "") and err.startswith(f"error: {argv[0]} exceeds ") and err.count("\n") == 1
             assert "Erlang-B steps" in err
 
+    # The table-size and search-work bounds at their edges: the last accepted argv
+    # reaches the deleted entry point, and the first rejected one exits 2 before it.
+    _RATIOS = ",".join(map(str, range(1, 1001)))
+    _BIG_FRAME = ["--frame-slots", "100000000000"]
+
+    @pytest.mark.parametrize("entry, accepted, rejected, message", [
+        ("optimal_q", ["optimize", "--lambda-q", "1", "--lambda-p", "1", "--frame-slots", "5000001"],
+         ["optimize", "--lambda-q", "1", "--lambda-p", "1", "--frame-slots", "5000002"],
+         "optimize exceeds 1000000 rows: the frame allows q = 0..1000000"),
+        ("design_guidelines", ["guidelines", "--p-th", "0.9", "--frame-slots", "10002"],
+         ["guidelines", "--p-th", "0.9", "--frame-slots", "10007"],
+         "guidelines exceeds 4000000 targets x q_max^2: 1 targets, q = 1..2001"),
+        ("weighted_success_sweep",
+         ["sweep", "--ratio-list", "1,2", "--lambda-p-range", "1:2:1000", "--q-list", "249999,1", *_BIG_FRAME],
+         ["sweep", "--ratio-list", "1,2", "--lambda-p-range", "1:2:1000", "--q-list", "250000,1", *_BIG_FRAME],
+         "sweep exceeds 1000000000 Erlang-B steps x (lambda_p steps + 1000): 500002 x 2000"),
+        ("weighted_success_sweep",
+         ["sweep", "--q-list", "1", "--ratio-list", "1", "--lambda-p-range", "1:2:1000000"],
+         ["sweep", "--q-list", "1", "--ratio-list", "1", "--lambda-p-range", "1:2:1000001"],
+         "sweep exceeds 1000000 rows or 10000 crossover searches"),
+        ("crossover_push_rate",
+         ["sweep", "--crossovers", "--q-list", "0,1,2,3,4", "--lambda-p-range", "1:2:1", "--ratio-list", _RATIOS],
+         ["sweep", "--crossovers", "--q-list", "0,1,2,3,4", "--lambda-p-range", "1:2:1",
+          "--ratio-list", _RATIOS + ",1001"],
+         "sweep exceeds 1000000 rows or 10000 crossover searches"),
+        ("crossover_push_rate",
+         ["sweep", "--crossovers", "--ratio-list", "1", "--lambda-p-range", "1:2:1", "--q-list", "1,2,3,4,100000",
+          *_BIG_FRAME],
+         ["sweep", "--crossovers", "--ratio-list", "1", "--lambda-p-range", "1:2:1", "--q-list", "1,2,3,4,100001",
+          *_BIG_FRAME],
+         "sweep exceeds 1000000 crossover searches x largest q: 10 searches, largest q 100001"),
+    ], ids=["optimize_rows", "guideline_work", "sweep_work", "sweep_rows", "crossover_searches",
+            "crossover_work"])
+    def test_work_is_bounded_at_its_edge(self, capsys, monkeypatch, entry, accepted, rejected, message):
+        monkeypatch.delattr(cli, entry)
+        with pytest.raises(NameError, match=entry):
+            main(accepted)
+        assert run(capsys, *rejected) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
     def test_config_tau_beyond_float_range(self, capsys, tmp_path, sign):
         path = tmp_path / "frame.json"
@@ -714,7 +753,7 @@ class TestModuleEntryPoint:
 
     def test_version(self):
         done = self.run_module("--version")
-        assert (done.returncode, done.stdout, done.stderr) == (0, "pullpush 0.2.0\n", "")
+        assert (done.returncode, done.stdout, done.stderr) == (0, "pullpush 0.3.0\n", "")
 
     def test_usage_error_exits_2(self):
         done = self.run_module("analyze", "--q", "1")

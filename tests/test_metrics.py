@@ -207,7 +207,7 @@ class TestWeights:
         assert scaled.w_p == pytest.approx(base.w_p, rel=1e-12)
 
     def test_invalid_sum_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^weights must sum to 1, got 1\.2$"):
             Weights(0.6, 0.6)
 
     def test_out_of_range_rejected(self):

@@ -3,7 +3,6 @@
 import itertools
 import math
 import tracemalloc
-from dataclasses import astuple
 
 import mpmath
 import numpy as np
@@ -19,14 +18,12 @@ from pullpush.simulate import (
     STREAM_VERSION,
     SimConfig,
     _check_simulation,
-    _merge,
-    _RepStats,
     _simulate_one,
     _singleton_cap,
     _singleton_law,
     _singleton_law_cost,
     _SingletonLaw,
-    replication_stream,
+    _stream,
     simulate,
     slot_successes,
     validate_grid,
@@ -61,42 +58,26 @@ class TestDeterminism:
         b = simulate(DEFAULT_CONFIG, load, 10, SimConfig(frames=2000, seed=2))
         assert a.packets_total != b.packets_total or a.queries_total != b.queries_total
 
-    def test_replications_have_distinct_streams(self):
-        load = TrafficLoad(250.0, 500.0)
-        sim = SimConfig(frames=2000, seed=7, replications=2)
-        first = _simulate_one(DEFAULT_CONFIG, load, 10, sim, 0)
-        second = _simulate_one(DEFAULT_CONFIG, load, 10, sim, 1)
-        assert first.packets_total != second.packets_total or first.queries_total != second.queries_total
-
-    def test_merged_counts_equal_sum_of_parts(self):
-        load = TrafficLoad(100.0, 400.0)
-        sim = SimConfig(frames=1500, seed=11, replications=3)
-        stats = [_simulate_one(DEFAULT_CONFIG, load, 5, sim, r) for r in range(3)]
-        merged = _merge(stats, T_FRAME)
-        assert merged.queries_total == sum(s.queries_total for s in stats)
-        assert merged.packets_success == sum(s.packets_success for s in stats)
-        assert merged.frames_observed == 3 * 1500
-
     def test_stream_version_2_is_pinned(self):
-        # Counts drawn under STREAM_VERSION 2, across a chunk boundary and two
-        # replications. A change that moves them must bump the version.
-        sim = SimConfig(frames=40_000, seed=1, replications=2)
+        # Counts drawn under STREAM_VERSION 2, across a chunk boundary. A
+        # change that moves them must bump the version.
+        sim = SimConfig(frames=40_000, seed=1)
         result = simulate(DEFAULT_CONFIG, TrafficLoad(250.0, 500.0), 10, sim)
         counts = (result.queries_total, result.queries_served, result.packets_total, result.packets_success)
         assert STREAM_VERSION == 2
-        assert counts == (505265, 496769, 1009602, 783782)
+        assert counts == (251820, 247637, 503869, 390959)
 
     def test_stream_construction_is_pinned(self):
-        # The documented derivation: PCG64 keyed by spawn_key=(replication,).
+        # The documented derivation: PCG64 keyed by spawn_key=(0,).
         expected = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(entropy=123, spawn_key=(4,)))
+            np.random.PCG64(np.random.SeedSequence(entropy=123, spawn_key=(0,)))
         )
-        actual = replication_stream(123, 4)
+        actual = _stream(123)
         assert actual.bit_generator.state == expected.bit_generator.state
 
 
 class TestSimConfig:
-    @pytest.mark.parametrize("field", ["frames", "seed", "replications", "warmup_frames"])
+    @pytest.mark.parametrize("field", ["frames", "seed"])
     def test_rejects_bool(self, field):
         with pytest.raises(ValueError, match=field):
             SimConfig(**{field: True})
@@ -117,25 +98,10 @@ class TestTrivialCases:
         assert result.frames_observed == 1
         assert result.queries_total == 0
 
-    def test_warmup_zero_runs(self):
-        sim = SimConfig(frames=50, seed=5, warmup_frames=0)
-        result = simulate(DEFAULT_CONFIG, TrafficLoad(200.0, 100.0), 2, sim)
-        assert result.frames_observed == 50
-        assert 0.0 <= result.p_s_query_hat <= 1.0
-
-    def test_warmup_zero_first_frame_resolves_an_empty_pipeline(self):
+    def test_first_frame_resolves_a_full_pipeline(self):
         load = TrafficLoad(1e4, 0.0)  # ~252 queries per frame
-        cold = simulate(DEFAULT_CONFIG, load, 3, SimConfig(frames=1, seed=5, warmup_frames=0))
-        warm = simulate(DEFAULT_CONFIG, load, 3, SimConfig(frames=1, seed=5, warmup_frames=1))
-        assert cold.queries_total == 0
-        assert warm.queries_total > 0 and warm.queries_served == 3
-
-    def test_warmup_beyond_one_frame_changes_nothing(self):
-        # The deadline is one frame: any warmup >= 1 only fills the pipeline.
-        load = TrafficLoad(250.0, 500.0)
-        results = [simulate(DEFAULT_CONFIG, load, 10, SimConfig(frames=40_000, seed=5, warmup_frames=w))
-                   for w in (1, 7)]
-        assert results[0] == results[1]
+        result = simulate(DEFAULT_CONFIG, load, 3, SimConfig(frames=1, seed=5))
+        assert result.queries_total > 0 and result.queries_served == 3
 
     def test_infeasible_q_propagates(self):
         with pytest.raises(InfeasibleSplitError):
@@ -169,7 +135,7 @@ class TestConservation:
         # Four chunks draw from the same two means: two builds, six reuses.
         load = TrafficLoad(300.0, 200.0)
         _inversion_table.cache_clear()
-        _simulate_one(DEFAULT_CONFIG, load, 4, SimConfig(frames=4 * _CHUNK_FRAMES, seed=5), 0)
+        _simulate_one(DEFAULT_CONFIG, load, 4, SimConfig(frames=4 * _CHUNK_FRAMES, seed=5))
         info = _inversion_table.cache_info()
         assert (info.misses, info.hits) == (2, 6)
         _, cdf, guide = _inversion_table(load.mean_packets_per_frame(T_FRAME))
@@ -324,7 +290,7 @@ class TestMemory:
         def peak(frames):
             tracemalloc.start()
             try:
-                _simulate_one(DEFAULT_CONFIG, load, 10, SimConfig(frames=frames, seed=4), 0)
+                _simulate_one(DEFAULT_CONFIG, load, 10, SimConfig(frames=frames, seed=4))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -420,18 +386,8 @@ class TestHalfWidths:
         }
         assert all(v > 0.0 for v in result.half_width_95.values())
 
-    def test_replicated_half_widths(self):
-        sim = SimConfig(frames=2000, seed=31, replications=4)
-        result = simulate(DEFAULT_CONFIG, TrafficLoad(250.0, 500.0), 10, sim)
-        assert result.frames_observed == 8000
-        assert all(v >= 0.0 for v in result.half_width_95.values())
-        # The interval is that of one run over the pooled frames.
-        stats = [_simulate_one(DEFAULT_CONFIG, TrafficLoad(250.0, 500.0), 10, sim, r) for r in range(4)]
-        pooled = _RepStats(*map(sum, zip(*map(astuple, stats))))
-        assert _merge(stats, T_FRAME) == _merge([pooled], T_FRAME) == result
-
-    def test_replicated_push_intervals_cover(self):
-        # 200 seeds of 3 replications: the share of 95% intervals that cover the
+    def test_push_intervals_cover(self):
+        # 200 seeds of 6000 frames: the share of 95% intervals that cover the
         # analytic push values lies in a band around 0.95 (binomial sd ~0.015).
         q, load = 10, TrafficLoad(250.0, 500.0)
         k_a = split_for_q(DEFAULT_CONFIG, q).k_a
@@ -442,7 +398,7 @@ class TestHalfWidths:
         }
         hits = dict.fromkeys(truth, 0)
         for seed in range(200):
-            result = simulate(DEFAULT_CONFIG, load, q, SimConfig(frames=2000, seed=seed, replications=3))
+            result = simulate(DEFAULT_CONFIG, load, q, SimConfig(frames=6000, seed=seed))
             for key, value in truth.items():
                 hits[key] += abs(getattr(result, f"{key}_hat") - value) <= result.half_width_95[key]
         assert all(0.90 <= count / 200 <= 0.99 for count in hits.values()), hits
