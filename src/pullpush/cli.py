@@ -51,7 +51,11 @@ MAX_CROSSOVER_SEARCHES = 10**4
 MAX_GUIDELINE_WORK = 4 * 10**6  # targets x q_max^2: the rate searches of one q cost O(q)
 MAX_CROSSOVER_WORK = 10**6  # searches x largest q: one crossover search costs O(q)
 MAX_VALIDATE_STEPS = 10**7  # Erlang-B steps, the sum of q over the grid points: ~1.5 s
-MAX_SWEEP_WORK = 10**9  # Erlang-B steps x (lambda_p steps + 1000): an array step costs ~1000 elements; ~3 s
+# Erlang-B steps x (lambda_p steps + 1000): the + 1000 models a step's fixed cost, but
+# an array step costs ~3 us + 1.5-2 ns per element (2-CPU Xeon, numpy 2.4), i.e.
+# ~1500-2000 elements' time, so a sweep at the edge runs ~3 s. TestBoundedInputs pins
+# the formula and its edge; both stay until the work bounds are re-derived together.
+MAX_SWEEP_WORK = 10**9
 
 # FrameConfig's fields by their name in config files and manifests (F for frame_slots).
 _CONFIG_FIELDS = {"F" if f.name == "frame_slots" else f.name: f for f in fields(FrameConfig)}

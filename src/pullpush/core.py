@@ -1,12 +1,12 @@
-"""Shared numerical primitives: Poisson pmf, Poisson sampling, Erlang-B.
+"""Shared numerical primitives: Poisson sampling and Erlang-B.
 
-All three are written for stability at the loads this package deals with
+Both are written for stability at the loads this package deals with
 (per-frame means into the thousands, server counts up to the 10^6 rows the
-optimizer allows): the pmf is evaluated in log space, Erlang-B uses the
-forward recursion instead of factorial ratios, and sampling inverts a
-tabled CDF with one uniform per variate, by indexed search: a guide table
-per CDF narrows each search to a bracket that one comparison resolves,
-except in the few tail bins, which are bisected.
+optimizer allows): Erlang-B uses the forward recursion instead of factorial
+ratios, and sampling inverts a tabled CDF, its pmf evaluated in log space,
+with one uniform per variate, by indexed search: a guide table per CDF
+narrows each search to a bracket that one comparison resolves, except in
+the few tail bins, which are bisected.
 """
 
 from __future__ import annotations
@@ -58,19 +58,6 @@ def _check_poisson_mean(mean) -> float:
     if mean > _MAX_POISSON_MEAN:
         raise ValueError(f"mean must be at most {_MAX_POISSON_MEAN:g} per frame, got {mean!r}")
     return mean
-
-
-def poisson_pmf(k: int, mean: float) -> float:
-    """P(X = k) for X ~ Poisson(mean).
-
-    Evaluated as exp(k*ln(mean) - mean - lgamma(k+1)) so that large k and
-    large means neither overflow nor lose the leading digits.
-    """
-    mean = _check_real("mean", mean)
-    _check_int("k", k, 0)
-    if mean == 0.0:
-        return 1.0 if k == 0 else 0.0
-    return math.exp(k * math.log(mean) - mean - math.lgamma(k + 1))
 
 
 def _fill_guide(cdf: np.ndarray, guide: np.ndarray) -> None:

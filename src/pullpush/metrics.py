@@ -102,22 +102,6 @@ def mean_served_queries(q: int, mean_queries: float) -> float:
     return mean_queries * query_success_prob(q, mean_queries)
 
 
-def push_success_prob_given(k_a: int, n_packets: int) -> float:
-    """Success probability of a packet when exactly n_packets contend.
-
-    0 if k_a = 1 and n_packets > 1; (1 - 1/k_a)^(n_packets - 1) if
-    k_a > 1 and n_packets >= 1; 1 otherwise (n_packets <= 1 with a single
-    slot, or an empty frame).
-    """
-    _check_int("k_a", k_a, 1)
-    _check_int("n_packets", n_packets, 0)
-    if n_packets <= 1:
-        return 1.0
-    if k_a == 1:
-        return 0.0
-    return (1.0 - 1.0 / k_a) ** (n_packets - 1)
-
-
 def _exp(x):
     """math.exp of a float or per element of a 1-d array (np.exp can differ in the last bit)."""
     if isinstance(x, np.ndarray):

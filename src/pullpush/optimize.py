@@ -114,21 +114,6 @@ def _max_rate(config: FrameConfig, slots: int, curve: Callable[[int, float], flo
     return 0.5 * (lo + hi)
 
 
-def max_query_rate(config: FrameConfig, q: int, p_th: float) -> float:
-    """Largest query arrival rate [1/s] whose success probability meets p_th."""
-    _check_p_th(p_th)
-    split_for_q(config, q)  # feasibility check, raises on bad q
-    if q == 0:
-        raise InfeasibleTargetError("q=0 serves no queries, no arrival rate meets a target")
-    return _max_rate(config, q, query_success_curve, p_th)
-
-
-def max_push_rate(config: FrameConfig, q: int, p_th: float) -> float:
-    """Largest packet arrival rate [1/s] whose success probability meets p_th."""
-    _check_p_th(p_th)
-    return _max_rate(config, split_for_q(config, q).k_a, push_success_curve, p_th)
-
-
 def design_guidelines(config: FrameConfig, p_th: float) -> list[GuidelineRow]:
     """One row per q in [1, q_max]: the rate ceilings at the target and the
     served-query mean / push throughput attained there."""

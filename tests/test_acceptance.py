@@ -12,14 +12,14 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from pullpush.core import erlang_b, poisson_pmf, sample_poisson_array
+from oracles import poisson_pmf, push_success_prob_given
+from pullpush.core import erlang_b, sample_poisson_array
 from pullpush.frame import FrameConfig, split_for_q
 from pullpush.metrics import (
     TrafficLoad,
     Weights,
     evaluate_metrics,
     push_success_prob,
-    push_success_prob_given,
     query_success_prob,
 )
 from pullpush.optimize import crossover_push_rate, design_guidelines, optimal_q

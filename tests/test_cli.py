@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import pullpush.cli as cli
-from pullpush import FrameConfig, SimConfig
+from pullpush import FrameConfig, SimConfig, TrafficLoad, evaluate_metrics
 from pullpush.cli import main
 
 # The package re-exports the function simulate under the submodule's name.
@@ -386,6 +386,22 @@ class TestSimulate:
         assert json.loads(out)["manifest"]["seed"] == 5
 
 
+_FLAG_EDGES = [
+    ("p_s_query_hat", -4.1, ("query_lower_bound_violation",)),
+    ("p_s_query_hat", -3.9, ()),
+    ("p_s_query_hat", 3.9, ()),
+    ("p_s_query_hat", 4.1, ()),
+    ("p_s_push_hat", -4.1, ("push_success_deviation",)),
+    ("p_s_push_hat", -3.9, ()),
+    ("p_s_push_hat", 3.9, ()),
+    ("p_s_push_hat", 4.1, ("push_success_deviation",)),
+    ("throughput_push_hat", -4.1, ("push_throughput_deviation",)),
+    ("throughput_push_hat", -3.9, ()),
+    ("throughput_push_hat", 3.9, ()),
+    ("throughput_push_hat", 4.1, ("push_throughput_deviation",)),
+]
+
+
 class TestValidate:
     def test_small_grid(self, capsys):
         code, out, _ = run(
@@ -473,9 +489,25 @@ class TestValidate:
         assert code == 4
 
     def test_query_lower_bound_violation_is_flagged(self, capsys, monkeypatch):
-        # Lowering every query estimate by 0.5 puts it ~200 half-widths below the closed form.
         real = simulate_module.simulate
+        analytic = evaluate_metrics(FrameConfig(), TrafficLoad(250.0, 500.0), 10)
+        # The flag rule at its edge: one estimate placed k of its own half-widths from
+        # the closed form. Push deviations count both ways, query ones only below.
+        for estimate, k, flags in _FLAG_EDGES:
+            metric = estimate.removesuffix("_hat")
 
+            def placed(*args):
+                result = real(*args)
+                value = getattr(analytic, metric) + k * result.half_width_95[metric]
+                return dataclasses.replace(result, **{estimate: value})
+
+            monkeypatch.setattr(simulate_module, "simulate", placed)
+            rows, _ = simulate_module.validate_grid(
+                FrameConfig(), [10], [250.0], [500.0], SimConfig(frames=2000, seed=3)
+            )
+            assert rows[0].flags == flags, (estimate, k)
+
+        # Lowering every query estimate by 0.5 puts it ~200 half-widths below the closed form.
         def lowered(*args):
             result = real(*args)
             return dataclasses.replace(result, p_s_query_hat=result.p_s_query_hat - 0.5)
@@ -753,7 +785,7 @@ class TestModuleEntryPoint:
 
     def test_version(self):
         done = self.run_module("--version")
-        assert (done.returncode, done.stdout, done.stderr) == (0, "pullpush 0.3.0\n", "")
+        assert (done.returncode, done.stdout, done.stderr) == (0, "pullpush 0.4.0\n", "")
 
     def test_usage_error_exits_2(self):
         done = self.run_module("analyze", "--q", "1")

